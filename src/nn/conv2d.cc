@@ -293,16 +293,6 @@ im2colCodes(const int32_t *in, int n, int c, int h, int w, int oh, int ow,
     });
 }
 
-/** Pack int32 codes into a narrower operand buffer. */
-template <typename T>
-void
-packCodes(const std::vector<int32_t> &src, std::vector<T> &dst)
-{
-    dst.resize(src.size());
-    for (size_t i = 0; i < src.size(); ++i)
-        dst[i] = static_cast<T>(src[i]);
-}
-
 /**
  * Build the per-image im2col gather table: for every [position,
  * patch] column element the source offset within one [C,H,W] image
@@ -433,7 +423,6 @@ void
 Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                        IntGemmScratch &s, Tensor &out, bool serve)
 {
-    int wbits = wq.bits;
     TWOINONE_ASSERT(xq.shape.size() == 4 && xq.shape[1] == inChannels_,
                     "Conv2d quantized input shape mismatch");
     int n = xq.shape[0], h = xq.shape[2], w = xq.shape[3];
@@ -444,38 +433,9 @@ Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
     int ohw = oh * ow;
     s.acc.resize(static_cast<size_t>(n) * outChannels_ * ohw);
     int64_t *acc = s.acc.data();
+    const gemm::PackedIntWeights &pack =
+        packedWeights(wq, outChannels_, patch, s);
 
-    bool narrow8 = wbits <= 8 && xq.bits <= 8;
-    bool pack_valid = s.packedFrom == wq.codes.data() &&
-                      s.packedBits == wbits &&
-                      s.packedVersion == masterWeightVersion();
-    if (!pack_valid)
-        s.packedKinds = 0;
-
-    // Tile-packed fast path: an engine-installed pack when one matches
-    // the codes in play, else a scratch-built pack under the same key.
-    // The reference staging below stays the datapath under the naive
-    // backend and the forced-scalar tier, so the packed kernels always
-    // have an in-tree reference to diff against.
-    const gemm::PackedIntWeights *pack = nullptr;
-    const bool use_packed =
-        gemm::activeBackend() == gemm::Backend::Blocked &&
-        gemm::activeIsaTier() != gemm::IsaTier::Scalar;
-    if (use_packed) {
-        const gemm::PackedIntWeights *inst = weightPacked();
-        if (inst && !inst->empty() && inst->bits == wbits &&
-            inst->m == outChannels_ && inst->k == patch &&
-            weightCodes() == &wq) {
-            pack = inst;
-        } else {
-            if (!(s.packedKinds & IntGemmScratch::kPackTiled)) {
-                gemm::packWeights(wq.codes.data(), outChannels_, patch,
-                                  wbits, s.wpack);
-                s.packedKinds |= IntGemmScratch::kPackTiled;
-            }
-            pack = &s.wpack;
-        }
-    }
     if (serve && (s.gatherH != h || s.gatherW != w || !s.gather)) {
         // Compiled-geometry gather table, shared across every scratch
         // block (plan replica) of this geometry: fetched from the
@@ -486,73 +446,40 @@ Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
         s.gatherH = h;
         s.gatherW = w;
     }
-    size_t img_elems = static_cast<size_t>(inChannels_) * h * w;
+    // Stage the activation columns at the narrowest operand width the
+    // packed kernels take: uint8 when both operands fit 8 bits.
+    const bool narrow8 = wq.bits <= 8 && xq.bits <= 8;
+    const size_t img_elems = static_cast<size_t>(inChannels_) * h * w;
+    auto stage = [&](auto *cols) {
+        if (serve)
+            im2colGather(xq.codes.data(), n, img_elems, *s.gather, cols);
+        else
+            im2colCodes(xq.codes.data(), n, inChannels_, h, w, oh, ow,
+                        kernel_, stride_, padding_, cols);
+    };
     if (narrow8) {
-        if (!pack && !(s.packedKinds & IntGemmScratch::kPackW8)) {
-            packCodes(wq.codes, s.w8);
-            s.packedKinds |= IntGemmScratch::kPackW8;
-        }
         s.a8.resize(static_cast<size_t>(n) * ohw * patch);
-        if (serve)
-            im2colGather(xq.codes.data(), n, img_elems, *s.gather,
-                         s.a8.data());
-        else
-            im2colCodes(xq.codes.data(), n, inChannels_, h, w, oh, ow,
-                        kernel_, stride_, padding_, s.a8.data());
+        stage(s.a8.data());
     } else {
-        if (!pack && !(s.packedKinds & IntGemmScratch::kPackW16)) {
-            packCodes(wq.codes, s.w16);
-            s.packedKinds |= IntGemmScratch::kPackW16;
-        }
         s.a16.resize(static_cast<size_t>(n) * ohw * patch);
-        if (serve)
-            im2colGather(xq.codes.data(), n, img_elems, *s.gather,
-                         s.a16.data());
-        else
-            im2colCodes(xq.codes.data(), n, inChannels_, h, w, oh, ow,
-                        kernel_, stride_, padding_, s.a16.data());
+        stage(s.a16.data());
     }
-    s.packedFrom = wq.codes.data();
-    s.packedBits = wbits;
-    s.packedVersion = masterWeightVersion();
 
     // Per image: acc[K, OH*OW] = Wq[K, patch] * cols_n[OH*OW, patch]^T
-    // in exact integer arithmetic (igemm inlines when nested here).
-    // The tile-packed kernels serve every width on the fast path;
-    // results are bit-identical (exact integer accumulation).
+    // in exact integer arithmetic.
     ThreadPool::global().parallelFor(0, n, 1, [&](int64_t nlo,
                                                   int64_t nhi) {
         for (int64_t ni = nlo; ni < nhi; ++ni) {
             int64_t *acc_n =
                 acc + static_cast<size_t>(ni) * outChannels_ * ohw;
-            if (narrow8) {
-                const uint8_t *cols_n =
-                    s.a8.data() + static_cast<size_t>(ni) * ohw * patch;
-                if (pack) {
-                    gemm::igemmPackedTransB(*pack, ohw, cols_n, patch,
-                                            acc_n, ohw, xq.bits);
-                } else if (serve) {
-                    gemm::igemmTransB8Serve(outChannels_, ohw, patch,
-                                            s.w8.data(), patch, cols_n,
-                                            patch, acc_n, ohw, wbits,
-                                            xq.bits);
-                } else {
-                    gemm::igemmTransB(outChannels_, ohw, patch,
-                                      s.w8.data(), patch, cols_n, patch,
-                                      acc_n, ohw, wbits, xq.bits);
-                }
-            } else {
-                const uint16_t *cols_n =
-                    s.a16.data() + static_cast<size_t>(ni) * ohw * patch;
-                if (pack) {
-                    gemm::igemmPackedTransB(*pack, ohw, cols_n, patch,
-                                            acc_n, ohw, xq.bits);
-                } else {
-                    gemm::igemmTransB(outChannels_, ohw, patch,
-                                      s.w16.data(), patch, cols_n, patch,
-                                      acc_n, ohw, wbits, xq.bits);
-                }
-            }
+            size_t cols_off = static_cast<size_t>(ni) * ohw * patch;
+            if (narrow8)
+                gemm::igemmPackedTransB(pack, ohw, s.a8.data() + cols_off,
+                                        patch, acc_n, ohw, xq.bits);
+            else
+                gemm::igemmPackedTransB(pack, ohw,
+                                        s.a16.data() + cols_off, patch,
+                                        acc_n, ohw, xq.bits);
         }
     });
 

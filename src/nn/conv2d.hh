@@ -41,8 +41,8 @@ class Conv2d : public Layer, public WeightQuantizedLayer
      * Integer-datapath forward: consumes unsigned activation codes
      * (<= 16 bit) and the installed QuantTensor weight codes, packs
      * both to the narrowest operand width (int8/uint8 under 8 bits,
-     * int16/uint16 otherwise), accumulates in int32/int64 via
-     * gemm::igemmTransB, and dequantizes the integer outputs with the
+     * int16/uint16 otherwise), accumulates exactly via
+     * gemm::igemmPackedTransB, and dequantizes the integer outputs with the
      * combined scale (bias fused). Falls back to the float forward
      * when the input carries no codes or weight quantization is off.
      */
@@ -66,14 +66,13 @@ class Conv2d : public Layer, public WeightQuantizedLayer
      * the active weight precision. */
     bool intPathEligible(const QuantTensor &xq) const;
     /**
-     * Integer inference forward: int im2col + igemm + fused
-     * dequant/bias into @p out, packing through @p s (packed weights
-     * are cached in @p s across calls while the weights stand still).
-     * With @p serve the <= 8-bit product dispatches to the serving
-     * SIMD kernel (gemm::igemmTransB8Serve) instead of the reference
-     * loops — bit-identical either way (integer accumulation is
-     * exact); plan steps pass true, the legacy loop keeps the
-     * reference kernel.
+     * Integer inference forward: int im2col + packed igemm + fused
+     * dequant/bias into @p out, staging through @p s (a scratch
+     * weight pack is cached in @p s across calls while the weights
+     * stand still; see WeightQuantizedLayer::packedWeights). @p serve
+     * selects only the im2col: the compiled geometry's shared gather
+     * table (plan steps) instead of the direct gather (the per-layer
+     * loop). Both stage identical columns.
      */
     void inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                         IntGemmScratch &s, Tensor &out,

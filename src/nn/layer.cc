@@ -5,8 +5,6 @@
 
 #include "nn/layer.hh"
 
-#include "serve/execution_plan.hh"
-
 namespace twoinone {
 
 const QuantResult &
@@ -39,6 +37,24 @@ WeightQuantizedLayer::quantizedCodes(int bits, QuantTensor &local) const
     return local;
 }
 
+const gemm::PackedIntWeights &
+WeightQuantizedLayer::packedWeights(const QuantTensor &wq, int m, int k,
+                                    IntGemmScratch &s) const
+{
+    const gemm::PackedIntWeights *inst = weightPacked_;
+    if (inst && weightCodes_ == &wq && inst->bits == wq.bits &&
+        inst->m == m && inst->k == k)
+        return *inst;
+    if (s.packedFrom != wq.codes.data() || s.packedBits != wq.bits ||
+        s.packedVersion != masterWeightVersion()) {
+        gemm::packWeights(wq.codes.data(), m, k, wq.bits, s.wpack);
+        s.packedFrom = wq.codes.data();
+        s.packedBits = wq.bits;
+        s.packedVersion = masterWeightVersion();
+    }
+    return s.wpack;
+}
+
 void
 WeightQuantizedLayer::setQuantTrace(bool on)
 {
@@ -58,47 +74,6 @@ Layer::forwardQuantized(QuantAct &x)
     // inference forward. Codes do not propagate through layers
     // without an integer datapath.
     return QuantAct(forward(x.denseView(), /*train=*/false));
-}
-
-void
-Layer::emitPlanSteps(serve::PlanBuilder &b)
-{
-    // Fallback for layers without an allocation-free emitter: run the
-    // legacy layer forward (which allocates its output and mutates
-    // the layer's forward caches) and move the result into the arena.
-    // Correct for any layer, just not zero-allocation — and not safe
-    // to run from concurrent plan replicas, which the fallback mark
-    // tells the serving runtime.
-    b.markFallback();
-    int in = b.top();
-    int out = b.newValue();
-    b.addStep("fallback " + describe(),
-              [this, in, out](serve::ExecutionPlan &p) {
-                  serve::Value &vi = p.value(in);
-                  serve::Value &vo = p.value(out);
-                  vo.reset();
-                  if (p.mode() == serve::PlanMode::Quantized) {
-                      QuantAct xa;
-                      if (vi.hasCodes)
-                          xa.q = vi.q;
-                      else
-                          xa.dense = vi.denseView();
-                      QuantAct ya = forwardQuantized(xa);
-                      if (ya.hasCodes()) {
-                          vo.q = std::move(ya.q);
-                          vo.hasCodes = true;
-                      }
-                      if (!ya.dense.empty()) {
-                          vo.dense = std::move(ya.dense);
-                          vo.denseReady = true;
-                      }
-                  } else {
-                      vo.dense =
-                          forward(vi.denseView(), /*train=*/false);
-                      vo.denseReady = true;
-                  }
-              });
-    b.setTop(out);
 }
 
 void

@@ -44,39 +44,29 @@ class PlanBuilder;
  */
 struct IntGemmScratch
 {
-    std::vector<int8_t> w8;
-    std::vector<int16_t> w16;
     std::vector<uint8_t> a8;
     std::vector<uint16_t> a16;
     std::vector<int64_t> acc;
 
     /** Locally built tile-packed weights (gemm::packWeights) — the
      * fallback when no engine-owned pack is installed on the layer
-     * (uncached precisions, detached engines). Keyed by the same
-     * packedFrom/packedBits/packedVersion fields as w8/w16. */
+     * (uncached precisions, detached engines). */
     gemm::PackedIntWeights wpack;
     /** Staging buffer of igemmPackedWideTransA's lo/hi activation
      * split (the Linear wide path); reused across forwards. */
     std::vector<uint16_t> wide16;
 
-    /** Which staged representations were actually built under the
-     * current pack key (a forward builds only the one its path needs,
-     * so a key match alone does not prove a given buffer is fresh). */
-    enum : int { kPackW8 = 1, kPackW16 = 2, kPackTiled = 4 };
-
     /** @name Weight-pack cache key
-     * Identifies the weight codes w8/w16/wpack were packed from, so
+     * Identifies the weight codes wpack was packed from, so
      * repeated forwards against unchanged weights (the serving steady
      * state) skip the repack: same source buffer, same precision,
      * same master-weight version. A re-quantization into the same
      * buffer at the same (bits, version) reproduces identical codes,
-     * so a pointer match cannot go stale without a version bump.
-     * packedKinds marks which of w8/w16/wpack hold that key's codes. */
+     * so a pointer match cannot go stale without a version bump. */
     /** @{ */
     const void *packedFrom = nullptr;
     int packedBits = 0;
     uint64_t packedVersion = 0;
-    int packedKinds = 0;
     /** @} */
 
     /** @name im2col gather table (serving path)
@@ -322,6 +312,17 @@ class WeightQuantizedLayer
      */
     const QuantTensor &quantizedCodes(int bits, QuantTensor &local) const;
 
+    /**
+     * The tile-packed form of @p wq (this layer's @p m x @p k weight
+     * codes, as returned by quantizedCodes): the engine-installed
+     * pack when it was built from these very codes, else @p s's
+     * scratch pack, rebuilt only when its (source, bits, version)
+     * key changes.
+     */
+    const gemm::PackedIntWeights &packedWeights(const QuantTensor &wq,
+                                                int m, int k,
+                                                IntGemmScratch &s) const;
+
     bool quantTrace_ = false;
     QuantTensor tracedW_;
     QuantTensor tracedA_;
@@ -380,11 +381,11 @@ class Layer
      * into arena values, and leave the output id on top. Emitted
      * steps must be bit-identical to forward(eval) (PlanMode::Float)
      * or forwardQuantized (PlanMode::Quantized) — layers share their
-     * *Into kernels between both paths to guarantee it. The default
-     * emits a fallback step that runs the legacy (allocating) layer
-     * forward, so any layer mix compiles.
+     * *Into kernels between both paths to guarantee it. Every layer
+     * implements it, so a compiled plan never runs a layer's
+     * stateful forward and its replicas can execute concurrently.
      */
-    virtual void emitPlanSteps(serve::PlanBuilder &b);
+    virtual void emitPlanSteps(serve::PlanBuilder &b) = 0;
 
     /**
      * The layer's construction spec (see LayerSpec): enough to

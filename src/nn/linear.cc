@@ -106,49 +106,21 @@ Linear::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                     "Linear quantized input shape mismatch");
     int n = xq.shape[0];
 
-    // acc[N, out] = Xq[N, in] * Wq[out, in]^T, exact int64. Fast path:
-    // tile-packed weights through the wide-split int16 kernels — the
-    // classifier head's activation codes arrive from GlobalAvgPool
-    // wider than 16 bits, so they run as lo/hi int16 passes. The
-    // reference rows stay the datapath under the naive backend and the
-    // forced-scalar tier (and for operand widths outside the packed
-    // kernels' range), bit-identical either way.
+    // acc[N, out] = Xq[N, in] * Wq[out, in]^T, exact int64, through
+    // the wide-split packed kernels: the classifier head's activation
+    // codes arrive from GlobalAvgPool wider than 16 bits (up to 30, the
+    // width GlobalAvgPool keeps codes at), so they run as lo/hi int16
+    // passes.
+    TWOINONE_ASSERT(wq.bits >= 1 && wq.bits <= 16 && !xq.isSigned &&
+                        xq.bits >= 1 && xq.bits <= 30,
+                    "Linear integer path needs <= 16-bit weight codes and "
+                    "unsigned activation codes of <= 30 bits");
+    const gemm::PackedIntWeights &pack =
+        packedWeights(wq, outFeatures_, inFeatures_, s);
     s.acc.resize(static_cast<size_t>(n) * outFeatures_);
-    bool pack_valid = s.packedFrom == wq.codes.data() &&
-                      s.packedBits == wq.bits &&
-                      s.packedVersion == masterWeightVersion();
-    if (!pack_valid)
-        s.packedKinds = 0;
-    const gemm::PackedIntWeights *pack = nullptr;
-    if (gemm::activeBackend() == gemm::Backend::Blocked &&
-        gemm::activeIsaTier() != gemm::IsaTier::Scalar && wq.bits >= 1 &&
-        wq.bits <= 16 && !xq.isSigned && xq.bits >= 1 && xq.bits <= 30) {
-        const gemm::PackedIntWeights *inst = weightPacked();
-        if (inst && !inst->empty() && inst->bits == wq.bits &&
-            inst->m == outFeatures_ && inst->k == inFeatures_ &&
-            weightCodes() == &wq) {
-            pack = inst;
-        } else {
-            if (!(s.packedKinds & IntGemmScratch::kPackTiled)) {
-                gemm::packWeights(wq.codes.data(), outFeatures_,
-                                  inFeatures_, wq.bits, s.wpack);
-                s.packedKinds |= IntGemmScratch::kPackTiled;
-            }
-            pack = &s.wpack;
-        }
-    }
-    s.packedFrom = wq.codes.data();
-    s.packedBits = wq.bits;
-    s.packedVersion = masterWeightVersion();
-    if (pack) {
-        gemm::igemmPackedWideTransA(*pack, n, xq.codes.data(),
-                                    inFeatures_, s.acc.data(),
-                                    outFeatures_, xq.bits, s.wide16);
-    } else {
-        gemm::igemmTransB(n, outFeatures_, inFeatures_, xq.codes.data(),
-                          inFeatures_, wq.codes.data(), inFeatures_,
-                          s.acc.data(), outFeatures_);
-    }
+    gemm::igemmPackedWideTransA(pack, n, xq.codes.data(), inFeatures_,
+                                s.acc.data(), outFeatures_, xq.bits,
+                                s.wide16);
 
     float dq = wq.scale * xq.scale;
     const float *b = hasBias_ ? bias_.value.data() : nullptr;

@@ -28,12 +28,12 @@ class Linear : public Layer, public WeightQuantizedLayer
     Tensor backward(const Tensor &grad_out) override;
 
     /**
-     * Integer-datapath forward: consumes activation codes of any
-     * width (the classifier head sits behind GlobalAvgPool, whose
-     * integer partial sums outgrow 16 bits) through the wide
-     * int32 x int32 igemm, dequantizing with the combined scale.
-     * Falls back to the float forward when the input carries no codes
-     * or weight quantization is off.
+     * Integer-datapath forward: consumes unsigned activation codes of
+     * up to 30 bits (the classifier head sits behind GlobalAvgPool,
+     * whose integer partial sums outgrow 16 bits) through the packed
+     * wide-split kernel (gemm::igemmPackedWideTransA), dequantizing
+     * with the combined scale. Falls back to the float forward when
+     * the input carries no codes or weight quantization is off.
      */
     QuantAct forwardQuantized(QuantAct &x) override;
 
@@ -48,8 +48,8 @@ class Linear : public Layer, public WeightQuantizedLayer
      * @p wq_scratch; the masters directly at full precision). */
     void inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
                         Tensor &out);
-    /** Wide integer inference forward: int32 igemm + fused
-     * dequant/bias into @p out, accumulating through @p s. */
+    /** Wide integer inference forward: packed igemm + fused
+     * dequant/bias into @p out, staging through @p s. */
     void inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                         IntGemmScratch &s, Tensor &out);
     /** @} */

@@ -60,10 +60,37 @@ GlobalAvgPool::backward(const Tensor &grad_out)
     return grad_in;
 }
 
+namespace {
+
+/** Width of the pooled codes: the summed codes need ceil(log2(HW))
+ * bits on top of the input's. */
+int
+pooledBits(const QuantTensor &xq)
+{
+    int hw = xq.shape[2] * xq.shape[3];
+    int extra = 0;
+    while ((1 << extra) < hw)
+        ++extra;
+    return xq.bits + extra;
+}
+
+/** Whether the pooled codes of @p xq fit 30 bits: the widest
+ * activation the packed head kernel (gemm::igemmPackedWideTransA)
+ * takes, and every sum stays inside the int32 codes. Wider pools
+ * (16-bit codes over more than 2^14 positions) run on the float
+ * view. */
+bool
+codesFit(const QuantTensor &xq)
+{
+    return xq.shape.size() == 4 && pooledBits(xq) <= 30;
+}
+
+} // namespace
+
 QuantAct
 GlobalAvgPool::forwardQuantized(QuantAct &x)
 {
-    if (!x.hasCodes())
+    if (!x.hasCodes() || !codesFit(x.q))
         return Layer::forwardQuantized(x);
     QuantAct out;
     inferQuantInto(x.q, out.q);
@@ -76,6 +103,8 @@ GlobalAvgPool::inferQuantInto(const QuantTensor &xq,
 {
     TWOINONE_ASSERT(xq.shape.size() == 4,
                     "GlobalAvgPool expects NCHW codes");
+    TWOINONE_ASSERT(codesFit(xq), "GlobalAvgPool sums overflow ",
+                    pooledBits(xq), "-bit codes");
     int n = xq.shape[0], c = xq.shape[1], h = xq.shape[2],
         w = xq.shape[3];
     int hw = h * w;
@@ -83,13 +112,9 @@ GlobalAvgPool::inferQuantInto(const QuantTensor &xq,
     out.shape = {n, c};
     out.codes.resize(static_cast<size_t>(n) * c);
     // mean = (sum of codes) * scale / HW: integer partial sums with
-    // the averaging divisor folded into the scale. The summed codes
-    // need ceil(log2(HW)) extra bits.
+    // the averaging divisor folded into the scale.
     out.scale = xq.scale / static_cast<float>(hw);
-    int extra = 0;
-    while ((1 << extra) < hw)
-        ++extra;
-    out.bits = xq.bits + extra;
+    out.bits = pooledBits(xq);
     out.isSigned = xq.isSigned;
 
     const int32_t *in = xq.codes.data();
@@ -117,7 +142,7 @@ GlobalAvgPool::emitPlanSteps(serve::PlanBuilder &b)
             serve::Value &vi = p.value(in);
             serve::Value &vo = p.value(out);
             vo.reset();
-            if (vi.hasCodes) {
+            if (vi.hasCodes && codesFit(vi.q)) {
                 inferQuantInto(vi.q, vo.q);
                 vo.hasCodes = true;
             } else {

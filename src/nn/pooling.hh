@@ -24,7 +24,8 @@ class GlobalAvgPool : public Layer
      * 1/(H*W) into the scale keeps the value on an integer grid
      * (wider codes, scale / HW), so the classifier head can stay on
      * the integer datapath. Falls back to the float path when the
-     * input carries no codes.
+     * input carries no codes or the pooled codes would need more than
+     * 30 bits.
      */
     QuantAct forwardQuantized(QuantAct &x) override;
 

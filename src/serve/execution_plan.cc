@@ -45,12 +45,6 @@ PlanBuilder::addStep(std::string label,
     plan_.steps_.push_back({std::move(label), std::move(fn)});
 }
 
-void
-PlanBuilder::markFallback()
-{
-    plan_.hasFallback_ = true;
-}
-
 Value &
 ExecutionPlan::value(int id)
 {
@@ -259,9 +253,7 @@ ExecutionPlan::arenaBytes() const
         bytes += s.wq.values.size() * sizeof(float) +
                  s.wq.steMask.size() * sizeof(float);
         bytes += s.wcodes.bytes();
-        bytes += s.ig.w8.size() * sizeof(int8_t) +
-                 s.ig.w16.size() * sizeof(int16_t) +
-                 s.ig.a8.size() * sizeof(uint8_t) +
+        bytes += s.ig.a8.size() * sizeof(uint8_t) +
                  s.ig.a16.size() * sizeof(uint16_t) +
                  s.ig.acc.size() * sizeof(int64_t);
         bytes += s.ig.wpack.bytes() +

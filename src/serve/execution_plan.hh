@@ -136,12 +136,6 @@ class PlanBuilder
     void addStep(std::string label,
                  std::function<void(ExecutionPlan &)> fn);
 
-    /** Mark the plan as containing a legacy-fallback step (the
-     * default Layer emitter): such steps run the stateful layer
-     * forward, so replicas of this plan must not execute
-     * concurrently. */
-    void markFallback();
-
   private:
     ExecutionPlan &plan_;
     int top_ = 0;
@@ -212,12 +206,6 @@ class ExecutionPlan
     /** Bytes held by the arena values and scratch blocks. */
     size_t arenaBytes() const;
 
-    /** Whether any step runs a stateful legacy layer forward (a
-     * layer without an allocation-free emitter). Such plans are
-     * correct single-threaded but their replicas must not run
-     * concurrently over the shared layers. */
-    bool hasFallbackSteps() const { return hasFallback_; }
-
     /** @name Step-execution accessors (used by emitted closures) */
     /** @{ */
     Value &value(int id);
@@ -254,7 +242,6 @@ class ExecutionPlan
     int inputId_ = 0;
     int outputId_ = 0;
     const Tensor *input_ = nullptr;
-    bool hasFallback_ = false;
 };
 
 } // namespace serve

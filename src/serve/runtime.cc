@@ -60,12 +60,6 @@ BatchExecutor::BatchExecutor(Network &net, RpsEngine &engine,
         plans_.push_back(net_.compile(engine_.set(), cfg_.mode,
                                       plan_shape,
                                       !cfg_.lazyPlanWarmup));
-        if (i == 0 && plans_[0]->hasFallbackSteps()) {
-            // A fallback step runs the stateful legacy layer forward;
-            // replicas of such a plan must not execute concurrently
-            // over the shared layers, so serve single-replica.
-            break;
-        }
     }
 
     const std::vector<int> &oshape = plans_[0]->outputShape();

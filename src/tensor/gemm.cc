@@ -27,10 +27,6 @@
 #include <string>
 #include <vector>
 
-#ifdef __AVX2__
-#include <immintrin.h>
-#endif
-
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "tensor/ops.hh"
@@ -605,137 +601,6 @@ igemmTransB(int m, int n, int k, const int32_t *a, int lda,
     // products and accumulation throughout.
     igemmDispatch<int32_t, int32_t, int64_t>(m, n, k, a, lda, b, ldb, c,
                                              ldc, /*acc32=*/false);
-}
-
-// ---------------------------------------------------------------------------
-// Serving int8 kernel (compiled execution plans).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-#ifdef __AVX2__
-
-inline int32_t
-hsum8(__m256i v)
-{
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-    s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-    return _mm_cvtsi128_si32(s);
-}
-
-/**
- * Rows [i0, i1) of the int8 product: widen both operands to int16
- * lanes and vpmaddwd them — exact (products <= 127 * 255 fit int16 x
- * int16 -> int32 pairs; pair sums <= 64770 fit int32), so the result
- * is bit-identical to the scalar reference. Four columns share each
- * A-row load; int32 accumulation is guarded by the caller's overflow
- * bound.
- */
-void
-igemm8MaddRows(int64_t i0, int64_t i1, int n, int k, const int8_t *a,
-               int lda, const uint8_t *b, int ldb, int64_t *c, int ldc)
-{
-    for (int64_t i = i0; i < i1; ++i) {
-        const int8_t *ar = a + static_cast<size_t>(i) * lda;
-        int64_t *cr = c + static_cast<size_t>(i) * ldc;
-        int j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const uint8_t *b0 = b + static_cast<size_t>(j) * ldb;
-            const uint8_t *b1 = b0 + ldb;
-            const uint8_t *b2 = b1 + ldb;
-            const uint8_t *b3 = b2 + ldb;
-            __m256i s0 = _mm256_setzero_si256();
-            __m256i s1 = s0, s2 = s0, s3 = s0;
-            int p = 0;
-            for (; p + 16 <= k; p += 16) {
-                __m256i av = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(ar + p)));
-                s0 = _mm256_add_epi32(
-                    s0, _mm256_madd_epi16(
-                            av, _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i *>(
-                                        b0 + p)))));
-                s1 = _mm256_add_epi32(
-                    s1, _mm256_madd_epi16(
-                            av, _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i *>(
-                                        b1 + p)))));
-                s2 = _mm256_add_epi32(
-                    s2, _mm256_madd_epi16(
-                            av, _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i *>(
-                                        b2 + p)))));
-                s3 = _mm256_add_epi32(
-                    s3, _mm256_madd_epi16(
-                            av, _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i *>(
-                                        b3 + p)))));
-            }
-            int32_t a0 = hsum8(s0), a1 = hsum8(s1), a2 = hsum8(s2),
-                    a3 = hsum8(s3);
-            for (; p < k; ++p) {
-                int32_t av = ar[p];
-                a0 += av * b0[p];
-                a1 += av * b1[p];
-                a2 += av * b2[p];
-                a3 += av * b3[p];
-            }
-            cr[j] = a0;
-            cr[j + 1] = a1;
-            cr[j + 2] = a2;
-            cr[j + 3] = a3;
-        }
-        for (; j < n; ++j) {
-            const uint8_t *br = b + static_cast<size_t>(j) * ldb;
-            __m256i s0 = _mm256_setzero_si256();
-            int p = 0;
-            for (; p + 16 <= k; p += 16) {
-                __m256i av = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(ar + p)));
-                s0 = _mm256_add_epi32(
-                    s0, _mm256_madd_epi16(
-                            av, _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i *>(
-                                        br + p)))));
-            }
-            int32_t acc = hsum8(s0);
-            for (; p < k; ++p)
-                acc += static_cast<int32_t>(ar[p]) * br[p];
-            cr[j] = acc;
-        }
-    }
-}
-
-#endif // __AVX2__
-
-} // namespace
-
-void
-igemmTransB8Serve(int m, int n, int k, const int8_t *a, int lda,
-                  const uint8_t *b, int ldb, int64_t *c, int ldc,
-                  int w_bits, int a_bits)
-{
-    TWOINONE_ASSERT(w_bits >= 1 && w_bits <= 8 && a_bits >= 1 &&
-                        a_bits <= 8,
-                    "int8 serve igemm needs codes of <= 8 bits");
-#ifdef __AVX2__
-    // 8-bit operands over any practical k fit int32 accumulation; the
-    // reference kernel handles the (absurd) overflow case.
-    if (int32AccumulationFits(w_bits, a_bits, k)) {
-        if (m <= 0 || n <= 0)
-            return;
-        int64_t grain = std::max<int64_t>(
-            1, (int64_t{1} << 15) /
-                   std::max<int64_t>(1, static_cast<int64_t>(n) * k));
-        ops::gatedParallelFor(m, grain, [&](int64_t lo, int64_t hi) {
-            igemm8MaddRows(lo, hi, n, k, a, lda, b, ldb, c, ldc);
-        });
-        return;
-    }
-#endif
-    igemmTransB(m, n, k, a, lda, b, ldb, c, ldc, w_bits, a_bits);
 }
 
 } // namespace gemm

@@ -79,10 +79,11 @@ void sgemm(Backend backend, bool trans_a, bool trans_b, int m, int n, int k,
  */
 bool smallGemmRunsParallel(int m, int n, int k);
 
-/** @name Integer GEMM (the quantized-execution kernels)
+/** @name Unpacked integer GEMM (the reference rows)
  *
- * C[m,n] = A[m,k] * B[n,k]^T over integer grid codes — the layout of
- * Conv2d (weights x im2col columns) and Linear (weights x batch). The
+ * C[m,n] = A[m,k] * B[n,k]^T over integer grid codes, unpacked: the
+ * plain reference the packed kernels below are tested and benchmarked
+ * against. Conv2d and Linear run the packed kernels only. The
  * operands are narrow codes: signed weights (int8/int16) against
  * unsigned activations (uint8/uint16), plus a wide int32 x int32
  * variant for post-quantization integer tensors whose codes have
@@ -109,17 +110,18 @@ void igemmTransB(int m, int n, int k, const int32_t *a, int lda,
 
 /** @name Packed integer GEMM (tile-ordered weights + SIMD dispatch)
  *
- * The Goto-style fast path of the integer kernels: weight codes are
+ * The integer datapath of Conv2d and Linear: weight codes are
  * packed once per (layer, precision) into tile-ordered, cache-resident
  * buffers (PackedIntWeights) and the per-forward GEMM runs a
  * register-tiled microkernel selected once per process from the CPU's
  * capabilities (IsaTier): AVX-512/VNNI `vpdpbusd`/`vpdpwssd` when
- * available, AVX2 `maddubs`/`madd` otherwise, plain packed loops as
- * the always-available scalar reference. Every tier accumulates
- * exactly (int32 windows sized so no partial sum can overflow, spilled
- * to int64), so all tiers and the unpacked igemmTransB reference are
- * bit-identical at every bit width — the determinism contract the
- * scalar-vs-SIMD CI gate enforces.
+ * available, AVX2 `maddubs`/`madd` otherwise, plain packed loops on
+ * any CPU (the scalar tier). TWOINONE_ISA picks the tier;
+ * TWOINONE_BACKEND=naive only makes it run serially. Every tier
+ * accumulates exactly (int32 windows sized so no partial sum can
+ * overflow, spilled to int64), so all tiers and the unpacked
+ * igemmTransB reference are bit-identical at every bit width — the
+ * determinism contract the scalar-vs-SIMD CI gate enforces.
  */
 /** @{ */
 
@@ -223,19 +225,6 @@ void igemmPackedWideTransA(const PackedIntWeights &w, int n,
                            int a_bits, std::vector<uint16_t> &stage);
 
 /** @} */
-
-/**
- * Serving-path int8 GEMM: same contract and bit-identical results as
- * the int8 igemmTransB (integer accumulation is exact under any
- * order), implemented with an AVX2 madd microkernel when the build
- * targets one (j-tiled scalar kernel otherwise). This is the kernel
- * compiled execution plans dispatch their <= 8-bit convolutions to;
- * the per-layer reference loops keep igemmTransB so the serving
- * datapath always has a plain reference to diff against.
- */
-void igemmTransB8Serve(int m, int n, int k, const int8_t *a, int lda,
-                       const uint8_t *b, int ldb, int64_t *c, int ldc,
-                       int w_bits, int a_bits);
 
 } // namespace gemm
 } // namespace twoinone

@@ -137,17 +137,20 @@ loadActWord8(const uint8_t *p, int n)
 
 /** int16-path epilogue, one output column: apply the 16-bit bias
  * correction, the wide-split shift, and scatter (ct = false) or
- * contiguous-store (ct = true) the tile's rows. */
+ * contiguous-store (ct = true) the tile's rows. Both scalings
+ * multiply by the power of two: the values may be negative, and a
+ * left shift of a negative value is undefined in C++17. */
 inline void
 storePackedCol(const PackedIntWeights &w, int row0, int rows, int j,
                const int64_t res[kPackTileM], int64_t *c, int ldc, bool ct,
                bool biased, int shift, bool accumulate)
 {
+    const int64_t scale = int64_t{1} << shift;
     for (int ch = 0; ch < rows; ++ch) {
         int64_t v = res[ch];
         if (biased)
-            v += w.rowSum[static_cast<size_t>(row0 + ch)] << 15;
-        v <<= shift;
+            v += w.rowSum[static_cast<size_t>(row0 + ch)] * 32768;
+        v *= scale;
         int64_t *dst = ct ? c + static_cast<size_t>(j) * ldc + row0 + ch
                           : c + static_cast<size_t>(row0 + ch) * ldc + j;
         if (accumulate)
@@ -205,6 +208,8 @@ kernelScalarU16(const PackedIntWeights &w, int jlo, int jhi,
                 const uint16_t *b, int ldb, int64_t *c, int ldc, bool ct,
                 int shift, bool accumulate)
 {
+    // The wide-split shift, as a multiply (see storePackedCol).
+    const int64_t scale = int64_t{1} << shift;
     for (int t = 0; t < w.tiles; ++t) {
         const int16_t *wt =
             w.p16.data() +
@@ -225,7 +230,7 @@ kernelScalarU16(const PackedIntWeights &w, int jlo, int jhi,
                                    static_cast<int64_t>(bj[base + e]);
             }
             for (int ch = 0; ch < rows; ++ch) {
-                int64_t v = acc[ch] << shift;
+                int64_t v = acc[ch] * scale;
                 int64_t *dst =
                     ct ? c + static_cast<size_t>(j) * ldc + row0 + ch
                        : c + static_cast<size_t>(row0 + ch) * ldc + j;

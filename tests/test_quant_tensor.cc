@@ -21,8 +21,10 @@
 #include "nn/conv2d.hh"
 #include "nn/linear.hh"
 #include "nn/model_zoo.hh"
+#include "nn/pooling.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
+#include "serve/execution_plan.hh"
 #include "tensor/gemm.hh"
 #include "tensor/ops.hh"
 
@@ -545,10 +547,8 @@ struct TierRestore
 
 /** The full quantized forward — conv stack through the Linear head —
  * is bit-identical between the dispatched SIMD tier and the forced
- * scalar reference tier at every rps4to16 candidate. The scalar tier
- * runs the legacy reference igemm rows (the packed gate turns off),
- * so this is also the packed-fast-path vs legacy-rows diff for both
- * Conv2d and the classifier's wide Linear GEMM. */
+ * scalar tier at every rps4to16 candidate, for both Conv2d's packed
+ * GEMM and the classifier's wide-split Linear GEMM. */
 TEST(ForwardQuantized, ScalarTierBitIdenticalEndToEnd)
 {
     Network net = makeTinyNet(61);
@@ -626,6 +626,50 @@ TEST(ForwardQuantized, LinearHeadStaysOnIntegerPath)
     ASSERT_EQ(acts.shape.size(), 2u);
     // Pool folded 1/(H*W) into the scale and widened the codes.
     EXPECT_GT(acts.bits, 8);
+}
+
+/** GlobalAvgPool's integer sums must not wrap: 16-bit codes pooled
+ * over 182 x 182 > 2^14 positions need 32 bits, more than the pooled
+ * codes (and the packed head kernel) hold. The pool then runs on the
+ * float view, so every candidate — through the per-layer loop and the
+ * compiled plan — stays within the integer path's documented
+ * 1e-3 * (1 + max|logit|) tolerance of the float forward. */
+TEST(ForwardQuantized, WidePoolSumsMatchFloatForward)
+{
+    Rng rng(71);
+    Network net(PrecisionSet::rps4to16());
+    auto conv = std::make_unique<Conv2d>(3, 2, 3, 1, 1, true, rng);
+    // Positive weights and bias: every pooled position carries a
+    // large activation code.
+    Tensor &w = conv->weight().value;
+    for (size_t i = 0; i < w.size(); ++i)
+        w[i] = std::fabs(w[i]);
+    conv->bias().value.fill(1.0f);
+    net.add(std::move(conv));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<ActQuant>());
+    net.add(std::make_unique<GlobalAvgPool>());
+    net.add(std::make_unique<Linear>(2, 3, true, rng));
+    Tensor x = Tensor::full({1, 3, 182, 182}, 0.5f);
+    RpsEngine engine(net);
+    std::unique_ptr<serve::ExecutionPlan> plan = net.compile(
+        net.precisionSet(), serve::PlanMode::Quantized, x.shape());
+
+    for (int bits : net.precisionSet().bits()) {
+        Tensor y_float = engine.forwardAt(bits, x);
+        float tol = 1e-3f * (1.0f + ops::maxAbs(y_float));
+        Tensor y_loop = engine.forwardQuantizedAt(bits, x);
+        engine.setPrecision(bits);
+        const Tensor &y_plan = plan->run(x);
+        ASSERT_EQ(y_loop.shape(), y_float.shape());
+        ASSERT_EQ(y_plan.shape(), y_float.shape());
+        for (size_t i = 0; i < y_float.size(); ++i) {
+            EXPECT_NEAR(y_loop[i], y_float[i], tol)
+                << "loop bits=" << bits << " i=" << i;
+            EXPECT_NEAR(y_plan[i], y_float[i], tol)
+                << "plan bits=" << bits << " i=" << i;
+        }
+    }
 }
 
 } // namespace
