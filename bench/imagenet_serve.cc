@@ -20,7 +20,8 @@
  *                   precision) under LRU eviction.
  *
  * Each child runs the identical serve workload — a full precision
- * sweep of quantized forwards plus a batched serve() — and reports
+ * sweep of quantized forwards plus a batch served by a one-tenant
+ * serve::Server — and reports
  * peak RSS, a logits digest, and the engine counters. The parent
  * gates:
  *   - digest equality (eviction/rehydration must stay bit-identical),
@@ -40,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -51,6 +53,7 @@
 #include "io/serialize.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
+#include "serve/server.hh"
 #include "serve/session.hh"
 #include "workloads/model_library.hh"
 
@@ -82,8 +85,8 @@ foldTensor(uint64_t h, const Tensor &t)
 }
 
 /** The identical serve workload both children run: one quantized
- * forward per rps4to16 candidate plus a batched serve(), digesting
- * every logit tensor. */
+ * forward per rps4to16 candidate plus a batch served by a Server,
+ * digesting every logit tensor. */
 uint64_t
 runWorkload(Session &sess)
 {
@@ -101,12 +104,19 @@ runWorkload(Session &sess)
         sess.switchPrecision(bits[i]);
         digest = foldTensor(digest, sess.forwardQuantized(x));
     }
-    std::vector<Tensor> reqs;
+    // Started paused, then flushed: the four requests close as one
+    // batch on the real clock, so both children draw one precision.
+    serve::ServerConfig sc;
+    sc.startPaused = true;
+    serve::Server server(sc);
+    int tenant = server.addTenant(sess);
+    std::vector<std::future<serve::Reply>> futs;
     for (int i = 0; i < 4; ++i)
-        reqs.push_back(
-            Tensor::uniform({2, 3, 32, 32}, rng, 0.0f, 1.0f));
-    for (const Tensor &y : sess.serve(reqs))
-        digest = foldTensor(digest, y);
+        futs.push_back(server.submit(
+            tenant, Tensor::uniform({2, 3, 32, 32}, rng, 0.0f, 1.0f)));
+    server.flush();
+    for (auto &f : futs)
+        digest = foldTensor(digest, f.get().y);
     return digest;
 }
 

@@ -24,11 +24,11 @@
  *            PR 3 per-layer quantized loop — ISSUE 4)
  *   plan_forward_speedup: mean of the per-bits speedups
  *   serve_qps: { serial_qps, parallel_qps, scaling, p50_us, p99_us }
- *            (Session-fronted batched RPS serving, one thread vs the
- *            full pool — ISSUE 4)
+ *            (batched RPS serving through a one-tenant serve::Server,
+ *            one thread vs the full pool)
  *   session_cold_start: { eager_ns, lazy_ns, speedup }
- *            (serving-runtime construction with eager per-candidate
- *            plan warm-up vs lazy compilation — ISSUE 5)
+ *            (serving BatchExecutor construction with eager
+ *            per-candidate plan warm-up vs lazy compilation)
  *   int_gemm: { m, n, k, bits, ns, gops, sgemm_ns, sgemm_gflops,
  *               isa_tier }
  *            (the packed 8-bit kernel vs the blocked float kernel)
@@ -64,6 +64,7 @@
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
 #include "serve/runtime.hh"
+#include "serve/server.hh"
 #include "serve/session.hh"
 #include "tensor/gemm.hh"
 #include "workloads/model_library.hh"
@@ -280,11 +281,12 @@ main()
                 qplan->arenaBytes() / 1024);
 
     // --- Batched RPS serving throughput ----------------------------
-    // The Session facade wires the serving stack (plans + runtime)
-    // around the shared net/engine; requests pack into batches, one
-    // random precision per batch from the engine cache, micro-batches
-    // sharded across the pool. Serial (ScopedSerial) vs the full pool
-    // measures thread scaling of the serving datapath. Eager plan
+    // A one-tenant serve::Server over an attached session, started
+    // paused with the whole backlog queued, then flushed: requests
+    // pack into batches, one random precision per batch from the
+    // engine cache, micro-batches sharded across the pool. Serial
+    // (ScopedSerial, which reaches the dispatcher thread) vs the full
+    // pool measures thread scaling of the serving datapath. Eager plan
     // warm-up: this section measures steady-state throughput, not
     // cold start (that is session_cold_start below).
     int serve_rows_per_req = fast ? 4 : 8;
@@ -298,18 +300,23 @@ main()
         sess_cfg.serving.lazyPlanWarmup = false;
         sess_cfg.inputShape = {3, 8, 8};
         Session sess = Session::attach(net, sess_cfg);
+        serve::ServerConfig srv_cfg;
+        srv_cfg.startPaused = true;
+        serve::Server server(srv_cfg);
+        int tenant = server.addTenant(sess);
         Rng req_rng(17);
         for (int i = 0; i < serve_requests; ++i) {
-            sess.submit(Tensor::uniform({serve_rows_per_req, 3, 8, 8},
-                                        req_rng, 0.0f, 1.0f));
+            server.submit(tenant,
+                          Tensor::uniform({serve_rows_per_req, 3, 8, 8},
+                                          req_rng, 0.0f, 1.0f));
         }
         if (serial) {
             ThreadPool::ScopedSerial guard;
-            sess.drain();
+            server.flush();
         } else {
-            sess.drain();
+            server.flush();
         }
-        return sess.stats();
+        return server.stats();
     };
     serve::ServeStats serve_serial = serve_qps(true);
     serve::ServeStats serve_parallel = serve_qps(false);
@@ -324,15 +331,16 @@ main()
                 serve_parallel.p50Us, serve_parallel.p99Us);
 
     // --- Session cold start: eager vs lazy plan compilation --------
-    // Standing a serving runtime up compiles one plan replica per
-    // worker; eager warm-up dry-runs every candidate per replica,
-    // lazy compilation (SessionConfig default) runs one structural
-    // pass and lets each candidate size its buffers on first serve.
+    // A session's first Server tenant builds a BatchExecutor, which
+    // compiles one plan replica per worker; eager warm-up dry-runs
+    // every candidate per replica, lazy compilation (SessionConfig
+    // default) runs one structural pass and lets each candidate size
+    // its buffers on first serve.
     auto cold_start = [&](bool lazy) {
         serve::ServeConfig cs = scfg;
         cs.lazyPlanWarmup = lazy;
-        serve::ServingRuntime srv(net, engine, {3, 8, 8}, cs);
-        (void)srv;
+        serve::BatchExecutor exec(net, engine, {3, 8, 8}, cs);
+        (void)exec;
     };
     double cold_eager_ns =
         timeNs([&] { cold_start(false); }, min_seconds);
@@ -340,7 +348,7 @@ main()
     double cold_speedup = cold_eager_ns / cold_lazy_ns;
     std::printf("\n%-24s %14s %14s %8s\n", "session cold start",
                 "eager_ns", "lazy_ns", "speedup");
-    std::printf("%-24s %14.0f %14.0f %7.2fx\n", "runtime construction",
+    std::printf("%-24s %14.0f %14.0f %7.2fx\n", "executor construction",
                 cold_eager_ns, cold_lazy_ns, cold_speedup);
 
     // --- Integer GEMM kernel throughput ----------------------------

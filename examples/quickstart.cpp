@@ -7,8 +7,8 @@
  *  3. evaluate natural and robust accuracy with and without the
  *     random precision switch;
  *  4. persist the trained model as a versioned checkpoint, reload it
- *     in a fresh Session, and serve batched traffic at randomly
- *     drawn precisions;
+ *     in a fresh Session, and serve batched traffic through a
+ *     serve::Server at randomly drawn precisions;
  *  5. deploy it on the 2-in-1 accelerator model and read back
  *     latency/energy per inference.
  *
@@ -24,6 +24,7 @@
 #include "core/system.hh"
 #include "data/synthetic.hh"
 #include "nn/model_zoo.hh"
+#include "serve/server.hh"
 #include "serve/session.hh"
 #include "workloads/model_library.hh"
 
@@ -75,24 +76,33 @@ main()
     // 4. Persist the trained model — weights, SBN banks, calibration
     //    ranges, and the engine's pre-quantized weight codes — then
     //    redeploy it from the artifact in a fresh Session and serve
-    //    batched traffic (one random precision per serving batch).
+    //    batched traffic through a Server (one random precision per
+    //    serving batch). Started paused, then flushed, the four
+    //    requests close as one batch whatever the timing.
     {
         Session trained = Session::attach(model);
         trained.calibrate({data.test.images.slice0(0, 32)});
         trained.save("quickstart.ckpt");
     }
     Session deployed = Session::fromCheckpoint("quickstart.ckpt");
-    std::vector<Tensor> requests;
+    serve::ServerConfig scfg;
+    scfg.startPaused = true;
+    serve::Server server(scfg);
+    const std::vector<int> &shape = data.test.images.shape();
+    int tenant = server.addTenant(
+        deployed, std::vector<int>(shape.begin() + 1, shape.end()));
+    std::vector<std::future<serve::Reply>> replies;
     for (int i = 0; i < 4; ++i)
-        requests.push_back(data.test.images.slice0(i * 8, 8));
-    std::vector<Tensor> logits = deployed.serve(requests);
-    serve::ServeStats sstats = deployed.stats();
+        replies.push_back(
+            server.submit(tenant, data.test.images.slice0(i * 8, 8)));
+    server.flush();
+    serve::ServeStats sstats = server.stats();
     // stats().qps carries the throughput; the printout sticks to
     // deterministic fields so runs diff clean across thread counts.
     std::cout << "served " << sstats.rows << " rows in "
               << sstats.batches << " batches from the artifact; "
               << "precisions drawn:";
-    for (int bits : deployed.precisionTrace())
+    for (int bits : server.precisionTrace(tenant))
         std::cout << " " << bits;
     std::cout << "\n";
 

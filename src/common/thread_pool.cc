@@ -5,6 +5,7 @@
 
 #include "common/thread_pool.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -16,6 +17,9 @@ namespace {
 
 /** Depth of parallelFor task execution on this thread. */
 thread_local int tls_parallel_depth = 0;
+
+/** Live ScopedSerial guards, process-wide. */
+std::atomic<int> serial_guards{0};
 
 /** Execute a chunk with the nesting depth marked. */
 void
@@ -78,17 +82,18 @@ ThreadPool::envThreadCount()
 bool
 ThreadPool::inParallelRegion()
 {
-    return tls_parallel_depth > 0;
+    return tls_parallel_depth > 0 ||
+           serial_guards.load(std::memory_order_relaxed) > 0;
 }
 
 ThreadPool::ScopedSerial::ScopedSerial()
 {
-    ++tls_parallel_depth;
+    serial_guards.fetch_add(1, std::memory_order_relaxed);
 }
 
 ThreadPool::ScopedSerial::~ScopedSerial()
 {
-    --tls_parallel_depth;
+    serial_guards.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void

@@ -80,22 +80,26 @@ class ThreadPool
      * Run fn over [begin, end) split into contiguous chunks.
      *
      * Runs inline (no dispatch) when the range is at most @p grain
-     * elements, when the pool has a single thread, or when called
-     * from inside another parallelFor task. Otherwise the range is
-     * split into min(threads(), ceil(range / grain)) chunks whose
-     * sizes differ by at most one; the caller runs the first chunk
-     * and blocks until all chunks finish.
+     * elements, when the pool has a single thread, when called from
+     * inside another parallelFor task, or while a ScopedSerial guard
+     * is alive. Otherwise the range is split into min(threads(),
+     * ceil(range / grain)) chunks whose sizes differ by at most one;
+     * the caller runs the first chunk and blocks until all chunks
+     * finish.
      */
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const RangeFn &fn);
 
-    /** True while the current thread is executing a parallelFor task. */
+    /** True while the current thread is executing a parallelFor task,
+     * or while any ScopedSerial guard is alive on any thread. */
     static bool inParallelRegion();
 
     /**
-     * RAII guard that forces parallelFor on the current thread to run
-     * inline while alive. Used by tests to compare serial vs parallel
-     * results bit-for-bit within one process.
+     * RAII guard that forces every thread's parallelFor to run inline
+     * while alive — the calling thread's and any other thread's, such
+     * as a serving dispatcher. Used to compare serial vs parallel
+     * results bit-for-bit within one process and to time the serial
+     * baselines.
      */
     class ScopedSerial
     {

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -305,8 +306,7 @@ ScenarioRunner::deploySession()
             d.set("sessions", Json(spec_.serving.sessions));
         return d;
     }());
-    if (spec_.serving.async)
-        rebuildServer();
+    rebuildServer();
 }
 
 void
@@ -327,6 +327,12 @@ ScenarioRunner::rebuildServer()
 
     serve::ServerConfig sc;
     sc.clock = &clock_;
+    // Admission must hold every request one traffic point submits
+    // before its flush.
+    for (const PhaseSpec &ps : spec_.phases)
+        sc.queueCapacity = std::max(
+            sc.queueCapacity,
+            ps.type == "bursty" ? ps.burstRequests : ps.requestsPerBatch);
     sc.maxBatchDelayUs = static_cast<double>(spec_.serving.maxDelayUs);
     sc.defaultDeadlineUs =
         static_cast<uint64_t>(spec_.serving.deadlineUs);
@@ -391,8 +397,8 @@ ScenarioRunner::runTuning()
     if (spec_.tuning.apply && res.found) {
         // Embed the winner and take the production path: re-save the
         // artifact, reload through Session::fromCheckpoint (which
-        // auto-applies the genome), rebuild the async Server (which
-        // adopts the server-scoped knobs from the tenant's artifact).
+        // auto-applies the genome), rebuild the Server (which adopts
+        // the server-scoped knobs from the tenant's artifact).
         session_->setTuningArtifact(res.artifact);
         session_->save(ckptPath_);
         ++ckptSaves_;
@@ -403,12 +409,10 @@ ScenarioRunner::runTuning()
             return sd;
         }());
         foldSession();
-        bool async = server_ != nullptr;
         teardownServer();
         session_ = loadSession();
         ++ckptLoads_;
-        if (async)
-            rebuildServer();
+        rebuildServer();
         tuneApplied_ = true;
         const serve::ServeConfig &applied =
             session_->config().serving;
@@ -454,8 +458,8 @@ ScenarioRunner::loadSession()
     cfg.serving.drawBits = spec_.serving.drawBits;
     cfg.serving.drawWeights.assign(spec_.serving.drawWeights.begin(),
                                    spec_.serving.drawWeights.end());
-    // The request image geometry, for the async Server and the
-    // autotuner's probes/analytical workload.
+    // The request image geometry, for the Server and the autotuner's
+    // probes/analytical workload.
     for (int i = 1; i < data_.test.images.ndim(); ++i)
         cfg.inputShape.push_back(data_.test.images.dim(i));
     cfg.loadRetries = spec_.session.loadRetries;
@@ -503,62 +507,39 @@ ScenarioRunner::foldSession()
 {
     if (!session_)
         return;
-    if (server_) {
-        // Async: the Server carries the stats and per-tenant traces;
-        // the deployed session's sync runtime was never built. flush()
-        // has quiesced the dispatcher at every fold point. Traces
-        // concatenate in tenant order — deterministic.
-        serve::ServeStats s = server_->stats();
-        accRequests_ += s.requests;
-        accRows_ += s.rows;
-        accBatches_ += s.batches;
-        accRejected_ += s.rejected;
-        accShed_ += s.shed;
-        accWall_ += s.wallSeconds;
-        accRebuilds_ += session_->engine().columnRebuilds();
-        accEvictions_ += session_->engine().cacheEvictions();
-        accHydrations_ += session_->engine().cellHydrations();
-        for (serve::Server::TenantId id : tenantIds_) {
-            const std::vector<int> &tr = server_->precisionTrace(id);
-            trace_.insert(trace_.end(), tr.begin(), tr.end());
-        }
-        return;
-    }
-    serve::ServeStats s = session_->stats();
+    // The Server carries the stats and per-tenant traces; flush() has
+    // quiesced the dispatcher at every fold point. Traces concatenate
+    // in tenant order — deterministic.
+    serve::ServeStats s = server_->stats();
     accRequests_ += s.requests;
     accRows_ += s.rows;
     accBatches_ += s.batches;
     accRejected_ += s.rejected;
+    accShed_ += s.shed;
     accWall_ += s.wallSeconds;
     accRebuilds_ += session_->engine().columnRebuilds();
     accEvictions_ += session_->engine().cacheEvictions();
     accHydrations_ += session_->engine().cellHydrations();
-    const std::vector<int> &tr = session_->precisionTrace();
-    trace_.insert(trace_.end(), tr.begin(), tr.end());
-    traceMark_ = 0;
+    for (serve::Server::TenantId id : tenantIds_) {
+        const std::vector<int> &tr = server_->precisionTrace(id);
+        trace_.insert(trace_.end(), tr.begin(), tr.end());
+    }
 }
 
 Json
 ScenarioRunner::traceDelta()
 {
+    // Per-tenant deltas since the last journal mark, flattened in
+    // tenant order (the dispatcher is quiesced by flush() at every
+    // journal point).
     Json arr = Json::array();
-    if (server_) {
-        // Per-tenant deltas since the last journal mark, flattened in
-        // tenant order (the dispatcher is quiesced by flush() at
-        // every journal point).
-        for (size_t t = 0; t < tenantIds_.size(); ++t) {
-            const std::vector<int> &tr =
-                server_->precisionTrace(tenantIds_[t]);
-            for (size_t i = tenantTraceMarks_[t]; i < tr.size(); ++i)
-                arr.push(Json(tr[i]));
-            tenantTraceMarks_[t] = tr.size();
-        }
-        return arr;
+    for (size_t t = 0; t < tenantIds_.size(); ++t) {
+        const std::vector<int> &tr =
+            server_->precisionTrace(tenantIds_[t]);
+        for (size_t i = tenantTraceMarks_[t]; i < tr.size(); ++i)
+            arr.push(Json(tr[i]));
+        tenantTraceMarks_[t] = tr.size();
     }
-    const std::vector<int> &tr = session_->precisionTrace();
-    for (size_t i = traceMark_; i < tr.size(); ++i)
-        arr.push(Json(tr[i]));
-    traceMark_ = tr.size();
     return arr;
 }
 
@@ -606,44 +587,32 @@ ScenarioRunner::runPhase(int index)
 std::vector<Tensor>
 ScenarioRunner::serveRequests(std::vector<Tensor> xs, bool starved)
 {
+    // A starved pool serves the whole point inline: the guard is
+    // process-wide, so it reaches the dispatcher thread.
+    std::optional<ThreadPool::ScopedSerial> serial;
+    if (starved)
+        serial.emplace();
+    std::vector<std::future<serve::Reply>> futs;
+    futs.reserve(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+        // Round-robin the tenants: every session sees traffic and
+        // the dispatcher's fair scheduling is exercised.
+        serve::Server::TenantId tenant =
+            tenantIds_[i % tenantIds_.size()];
+        futs.push_back(server_->submit(tenant, std::move(xs[i])));
+    }
+    server_->flush();
     std::vector<Tensor> out;
-    out.reserve(xs.size());
-    if (server_) {
-        std::vector<std::future<serve::Reply>> futs;
-        futs.reserve(xs.size());
-        for (size_t i = 0; i < xs.size(); ++i) {
-            // Round-robin the tenants: every session sees traffic and
-            // the dispatcher's fair scheduling is exercised.
-            serve::Server::TenantId tenant =
-                tenantIds_[i % tenantIds_.size()];
-            futs.push_back(
-                server_->submit(tenant, std::move(xs[i])));
+    out.reserve(futs.size());
+    for (auto &f : futs) {
+        try {
+            out.push_back(std::move(f.get().y));
+        } catch (const serve::ServeError &) {
+            // Shed (deadline/shutdown) — already counted by the
+            // Server; the caller skips its accuracy rows.
+            out.emplace_back();
         }
-        server_->flush();
-        for (auto &f : futs) {
-            try {
-                out.push_back(std::move(f.get().y));
-            } catch (const serve::ServeError &) {
-                // Shed (deadline/shutdown) — already counted by the
-                // Server; the caller skips its accuracy rows.
-                out.emplace_back();
-            }
-        }
-        return out;
     }
-    std::vector<size_t> ids;
-    ids.reserve(xs.size());
-    for (Tensor &x : xs)
-        ids.push_back(session_->submit(std::move(x)));
-    if (starved) {
-        ThreadPool::ScopedSerial serial;
-        session_->drain();
-    } else {
-        session_->drain();
-    }
-    for (size_t id : ids)
-        out.push_back(session_->result(id));
-    session_->clearServed();
     return out;
 }
 
@@ -659,8 +628,8 @@ ScenarioRunner::steadyPoint(int phase, int point, int nRequests,
         xs.push_back(b.images);
         labels.push_back(b.labels);
     }
-    bool starved = starveNextDrain_;
-    starveNextDrain_ = false;
+    bool starved = starveNextPoint_;
+    starveNextPoint_ = false;
     std::vector<Tensor> ys = serveRequests(std::move(xs), starved);
     for (size_t r = 0; r < ys.size(); ++r) {
         if (ys[r].empty())
@@ -682,8 +651,8 @@ ScenarioRunner::steadyPoint(int phase, int point, int nRequests,
     journal_->emit("point", std::move(d));
 
     if (starved) {
-        // The drain completed inline on the starved pool — the
-        // runtime degraded to serial execution without shedding work.
+        // The point was served inline on the starved pool — the
+        // server degraded to serial execution without shedding work.
         injector_->noteRecovered();
         Json r = Json::object();
         r.set("kind", Json("starve_pool"));
@@ -829,10 +798,10 @@ ScenarioRunner::applyFaults(int phase, int point)
                 journal_->emit("fault_unrecovered", std::move(r));
             }
         } else if (f->type == "starve_pool") {
-            starveNextDrain_ = true;
+            starveNextPoint_ = true;
             injector_->noteInjected();
             journal_->emit("fault_injected", std::move(d));
-            // Recovery is journaled by the starved drain itself.
+            // Recovery is journaled by the starved point itself.
         } else if (f->type == "malformed_request") {
             journal_->emit("fault_injected", std::move(d));
             injectMalformedRequest(*f, phase, point);
@@ -866,11 +835,8 @@ ScenarioRunner::injectMalformedRequest(const FaultSpec &f, int phase,
         bad = Tensor({2, 3}, 0.5f);
     }
     try {
-        if (server_)
-            server_->submit(tenantIds_[0], std::move(bad));
-        else
-            session_->submit(std::move(bad));
-        // A malformed request that the runtime accepted is a real
+        server_->submit(tenantIds_[0], std::move(bad));
+        // A malformed request that the server accepted is a real
         // robustness hole: leave the fault unrecovered.
         Json d = Json::object();
         d.set("kind", Json("malformed_request"));
@@ -946,14 +912,12 @@ ScenarioRunner::reloadSession(int phase, int point)
         Session next = loadSession();
         injector_->disarm();
         foldSession();
-        // The async server (and its tenant sessions) reference the
-        // outgoing session's network and engine — tear down before
-        // the replacement, rebuild over the new session after.
-        bool async = server_ != nullptr;
+        // The server (and its tenant sessions) reference the outgoing
+        // session's network and engine — tear down before the
+        // replacement, rebuild over the new session after.
         teardownServer();
         session_ = std::move(next);
-        if (async)
-            rebuildServer();
+        rebuildServer();
         ++ckptLoads_;
         Json d = Json::object();
         d.set("phase", Json(phase));
@@ -1048,9 +1012,7 @@ ScenarioRunner::buildMetrics()
                      Json(100.0 * static_cast<double>(robCorrect_) /
                           static_cast<double>(robTotal_)));
 
-    serve::ServeStats last =
-        server_ ? server_->stats()
-                : (session_ ? session_->stats() : serve::ServeStats());
+    serve::ServeStats last = server_->stats();
     Json timing = Json::object();
     timing.set("wall_seconds", Json(accWall_));
     timing.set("qps", Json(accWall_ > 0.0

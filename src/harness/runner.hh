@@ -6,9 +6,9 @@
  * A run stands up the declared model (build → optional RPS
  * adversarial training → calibration), persists it, deploys it
  * through Session::fromCheckpoint (the same artifact-load path
- * production takes, retry budget included), then drives the declared
- * traffic phases against the live session while the FaultInjector
- * fires the scheduled faults. Everything observable lands in the
+ * production takes, retry budget included), serves it as a tenant of
+ * a serve::Server, then drives the declared traffic phases against it
+ * while the FaultInjector fires the scheduled faults. Everything observable lands in the
  * bundle directory:
  *
  *   <out>/<scenario-name>/
@@ -97,18 +97,17 @@ class ScenarioRunner
     void adversarialPoint(int phase, int point, const PhaseSpec &ps);
     void soakCycle(int phase, int cycle, const PhaseSpec &ps);
 
-    /** Serve @p xs in order and return each request's logits (empty
-     * tensor for a shed request). Routes through the async Server
-     * (round-robin over the tenant sessions, then flush) when the
-     * spec says "async", else through the synchronous drain —
-     * @p starved wraps that drain in ScopedSerial. */
+    /** Serve @p xs in order through the Server (round-robin over the
+     * tenant sessions, then flush) and return each request's logits
+     * (empty tensor for a shed request). @p starved holds a
+     * ScopedSerial guard across the submits and the flush. */
     std::vector<Tensor> serveRequests(std::vector<Tensor> xs,
                                       bool starved);
 
-    /** (Re)build the async Server over the live session: tenant 0 is
-     * the deployed session, tenants 1..n-1 attach to its network
-     * sharing its engine. Called at deploy and after a soak reload
-     * replaces the session. */
+    /** (Re)build the Server over the live session: tenant 0 is the
+     * deployed session, tenants 1..n-1 attach to its network sharing
+     * its engine. Called at deploy and after a reload replaces the
+     * session. */
     void rebuildServer();
 
     /** Tear down the Server and its tenant sessions (before the
@@ -125,8 +124,9 @@ class ScenarioRunner
 
     /** Next @p rows consecutive test rows (wraps, never straddles). */
     Dataset takeBatch(int rows);
-    /** Fold the live session's stats + trace into the accumulators
-     * (before replacing or finishing). */
+    /** Fold the Server's stats + traces and the live engine's
+     * counters into the accumulators (before replacing the session
+     * or finishing). */
     void foldSession();
     /** Precisions sampled since the last journal mark. */
     Json traceDelta();
@@ -144,7 +144,7 @@ class ScenarioRunner
     DatasetPair data_;
     Rng attackRng_;
 
-    /** @name Async serving (spec_.serving.async)
+    /** @name Serving
      * The Server's time source is a ManualClock the runner never
      * advances: age closes and deadline expiries cannot fire on wall
      * time, so batch composition — and every journaled count and
@@ -159,13 +159,12 @@ class ScenarioRunner
     std::vector<size_t> tenantTraceMarks_; ///< journaled trace prefix
     /** @} */
 
-    int cursor_ = 0;       ///< test-set traffic cursor
-    size_t traceMark_ = 0; ///< journaled prefix of the live trace
+    int cursor_ = 0; ///< test-set traffic cursor
 
     // Pending checkpoint faults (armed at the next save / load).
     const FaultSpec *pendingTorn_ = nullptr;
     const FaultSpec *pendingCorrupt_ = nullptr;
-    bool starveNextDrain_ = false;
+    bool starveNextPoint_ = false;
 
     // Accumulators across session replacements.
     uint64_t accRequests_ = 0, accRows_ = 0, accBatches_ = 0;

@@ -603,20 +603,6 @@ parseScenario(const Json &doc)
                            s.phases));
     }
 
-    // starve_pool pins the *calling* thread to serial execution
-    // (thread-local ScopedSerial); the async server computes on its
-    // own dispatcher thread, which the fault could never reach — a
-    // spec asking for both is wrong, not silently ineffective.
-    if (s.serving.async) {
-        for (size_t i = 0; i < s.faults.size(); ++i) {
-            if (s.faults[i].type == "starve_pool")
-                throw SpecError(
-                    "$.faults[" + std::to_string(i) + "]",
-                    "starve_pool cannot reach the async dispatcher "
-                    "thread — use synchronous serving");
-        }
-    }
-
     if (const Json *c = obj.find("compare"))
         s.compare = parseCompare(*c, "$.compare");
 

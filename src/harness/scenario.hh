@@ -71,9 +71,10 @@ struct ServingSpec
     std::string mode = "quantized"; ///< quantized | float
     int replicas = 0;
     bool lazyWarmup = true;
-    /** Route traffic through the async serve::Server (deterministic
-     * under the harness ManualClock) instead of the synchronous
-     * drain. */
+    /** Admit the multi-tenant and timing keys below (sessions,
+     * max_delay_us, deadline_us, policy). Every scenario serves
+     * through serve::Server either way; the flag is echoed in the
+     * session_deploy event. */
     bool async = false;
     /** Tenant sessions multiplexed over the model (async only;
      * tenants share the engine, round-robin traffic). */

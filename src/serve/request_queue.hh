@@ -10,8 +10,8 @@
  * a globally ordered sequence number drawn from one atomic counter;
  * consumers always pop the lowest-sequence head across the shards, so
  * the queue is FIFO in submission order even though the storage is
- * sharded — which is what makes async batch composition reproduce the
- * synchronous drain's packing exactly when submissions are ordered.
+ * sharded — which is what makes batch composition follow the
+ * submission order whenever submissions are ordered.
  *
  * Consumers serialize on a dedicated pop mutex (the dispatcher is the
  * only steady-state consumer; the lock exists so shutdown paths and

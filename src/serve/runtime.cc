@@ -1,30 +1,18 @@
 /**
  * @file
- * BatchExecutor + ServingRuntime implementation.
+ * BatchExecutor implementation.
  */
 
 #include "serve/runtime.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <atomic>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
 namespace twoinone {
 namespace serve {
-
-namespace {
-
-using SClock = std::chrono::steady_clock;
-
-double
-microseconds(SClock::time_point from, SClock::time_point to)
-{
-    return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
-} // namespace
 
 BatchExecutor::BatchExecutor(Network &net, RpsEngine &engine,
                              const std::vector<int> &input_shape,
@@ -169,156 +157,6 @@ BatchExecutor::execute(const float *const *row_src,
                 }
             }
         });
-}
-
-ServingRuntime::ServingRuntime(Network &net, RpsEngine &engine,
-                               const std::vector<int> &input_shape,
-                               ServeConfig cfg)
-    : exec_(net, engine, input_shape, cfg), rng_(cfg.seed)
-{
-}
-
-size_t
-ServingRuntime::submit(Tensor x)
-{
-    // Request validation failures are caller data, not library bugs:
-    // reject the request, count it, keep serving.
-    try {
-        exec_.validate(x);
-    } catch (const ServeError &) {
-        ++rejected_;
-        throw;
-    }
-    Request r;
-    r.x = std::move(x);
-    r.enqueued = SClock::now();
-    requests_.push_back(std::move(r));
-    return requests_.size() - 1;
-}
-
-void
-ServingRuntime::serveBatch(size_t first, size_t last, int rows)
-{
-    // One precision draw per serving batch (paper Alg. 1 line 16),
-    // installed from the engine's code cache: O(#layers).
-    int bits = exec_.samplePrecision(rng_);
-    trace_.push_back(bits);
-    exec_.installPrecision(bits);
-
-    // Per-row staging/scatter tables pointing straight at the request
-    // tensors: shards gather their input rows from these pointers
-    // into the plan arena, and scatter their logit rows directly into
-    // the pre-sized request results — one copy per side, with no
-    // packed batch or logit buffer in between.
-    size_t row_elems = exec_.rowElems();
-    size_t out_cols = exec_.outCols();
-    rowSrc_.resize(static_cast<size_t>(rows));
-    rowDst_.resize(static_cast<size_t>(rows));
-    {
-        size_t row = 0;
-        for (size_t r = first; r < last; ++r) {
-            Request &req = requests_[r];
-            int n = req.x.dim(0);
-            req.y.ensure({n, static_cast<int>(out_cols)});
-            for (int i = 0; i < n; ++i) {
-                rowSrc_[row] = req.x.data() +
-                               static_cast<size_t>(i) * row_elems;
-                rowDst_[row] = req.y.data() +
-                               static_cast<size_t>(i) * out_cols;
-                ++row;
-            }
-        }
-    }
-
-    exec_.execute(rowSrc_.data(), rowDst_.data(), rows);
-
-    // Stamp latencies and serving stats.
-    SClock::time_point done = SClock::now();
-    for (size_t r = first; r < last; ++r) {
-        Request &req = requests_[r];
-        req.latencyUs = microseconds(req.enqueued, done);
-        req.done = true;
-        latencyUs_.add(req.latencyUs);
-        ++servedRequests_;
-        servedRows_ += static_cast<uint64_t>(req.x.dim(0));
-    }
-    ++servedBatches_;
-}
-
-void
-ServingRuntime::drain()
-{
-    SClock::time_point start = SClock::now();
-    while (nextToServe_ < requests_.size()) {
-        // Pack whole requests until the serving batch is full.
-        size_t first = nextToServe_;
-        int rows = 0;
-        size_t last = first;
-        while (last < requests_.size() &&
-               rows + requests_[last].x.dim(0) <= exec_.maxBatch()) {
-            rows += requests_[last].x.dim(0);
-            ++last;
-        }
-        // A single over-sized request cannot occur (submit caps at
-        // maxBatch), so last > first here.
-        serveBatch(first, last, rows);
-        nextToServe_ = last;
-    }
-    wallSeconds_ +=
-        std::chrono::duration<double>(SClock::now() - start).count();
-}
-
-const Tensor &
-ServingRuntime::result(size_t id) const
-{
-    TWOINONE_ASSERT(id < requests_.size(), "unknown request id");
-    TWOINONE_ASSERT(requests_[id].done, "request ", id,
-                    " not served yet — call drain()");
-    TWOINONE_ASSERT(!requests_[id].cleared, "request ", id,
-                    " was released by clearServed()");
-    return requests_[id].y;
-}
-
-void
-ServingRuntime::clearServed()
-{
-    for (size_t i = 0; i < nextToServe_; ++i) {
-        Request &r = requests_[i];
-        if (r.cleared)
-            continue;
-        r.x = Tensor();
-        r.y = Tensor();
-        r.cleared = true;
-    }
-}
-
-ServeStats
-ServingRuntime::stats() const
-{
-    ServeStats s;
-    s.requests = servedRequests_;
-    s.rows = servedRows_;
-    s.batches = servedBatches_;
-    s.rejected = rejected_;
-    s.wallSeconds = wallSeconds_;
-    s.qps = wallSeconds_ > 0.0
-                ? static_cast<double>(servedRows_) / wallSeconds_
-                : 0.0;
-    s.p50Us = latencyUs_.quantile(0.5);
-    s.p99Us = latencyUs_.quantile(0.99);
-    s.p999Us = latencyUs_.quantile(0.999);
-    return s;
-}
-
-void
-ServingRuntime::resetStats()
-{
-    servedRequests_ = 0;
-    servedRows_ = 0;
-    servedBatches_ = 0;
-    rejected_ = 0;
-    wallSeconds_ = 0.0;
-    latencyUs_.clear();
 }
 
 } // namespace serve

@@ -1,8 +1,8 @@
 /**
  * @file
- * The batched RPS serving core: BatchExecutor (shared by the
- * synchronous ServingRuntime and the async serve::Server) plus the
- * synchronous caller-thread runtime.
+ * The batched RPS serving core: BatchExecutor, the shared executor
+ * under serve::Server (serve/server.hh), plus the serving config,
+ * stats and error types.
  *
  * BatchExecutor owns the compiled ExecutionPlan replicas for one
  * (network, engine, request shape) and executes one serving batch at
@@ -16,29 +16,21 @@
  * TWOINONE_THREADS setting, and the precision trace is a pure
  * function of the caller's sampling seed.
  *
- * ServingRuntime keeps the original synchronous contract on top:
- * requests enqueue via submit(), drain() packs them into serving
- * batches (one random precision draw each — the paper's RPS defense)
- * and blocks until every result is ready. The asynchronous,
- * deadline-aware, multi-tenant front-end lives in serve/server.hh and
- * drives the same executor.
- *
- * Stats: rows/s (QPS), per-request p50/p99/p99.9 latency, batches
- * served, rejections, sheds, and the sampled precision trace.
+ * The Server forms the batches (one random precision draw each — the
+ * paper's RPS defense) and reports ServeStats: rows/s (QPS),
+ * per-request p50/p99/p99.9 latency, batches served, rejections and
+ * sheds.
  */
 
 #ifndef TWOINONE_SERVE_RUNTIME_HH
 #define TWOINONE_SERVE_RUNTIME_HH
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 
 #include "quant/rps_engine.hh"
 #include "serve/execution_plan.hh"
@@ -52,8 +44,8 @@ namespace serve {
  * bound set, a full admission queue, or an expired deadline. This is
  * a *recoverable caller-facing* condition — production traffic
  * contains garbage and overload, and one poisoned or late request
- * must not take the runtime down — so it throws (or is delivered
- * through the request's future) instead of panicking; the runtime
+ * must not take the server down — so it throws (or is delivered
+ * through the request's future) instead of panicking; the server
  * stays healthy and counts the event (ServeStats::rejected /
  * ServeStats::shed).
  */
@@ -110,12 +102,11 @@ struct ServeStats
     uint64_t rows = 0;
     uint64_t batches = 0;
     /** Malformed/oversized submissions rejected with ServeError while
-     * the runtime kept serving (graceful-degradation counter). */
+     * the server kept serving (graceful-degradation counter). */
     uint64_t rejected = 0;
     /** Well-formed requests dropped by load shedding: refused at
      * admission (full queue), expired past their deadline before
-     * compute, or cancelled by shutdown. Always 0 for the synchronous
-     * ServingRuntime, which has no admission queue or deadlines. */
+     * compute, or cancelled by shutdown. */
     uint64_t shed = 0;
     double wallSeconds = 0.0;
     double qps = 0.0;   ///< rows per second of serving wall time
@@ -127,9 +118,8 @@ struct ServeStats
 /**
  * The shared batch-execution core: compiled plan replicas plus the
  * gather/compute/scatter of one serving batch. Not thread-safe — one
- * execute() at a time (the sync runtime calls it from the draining
- * thread, the async Server from its dispatcher); the parallelism
- * lives *inside* execute(), across the global ThreadPool.
+ * execute() at a time (the Server calls it from its dispatcher); the
+ * parallelism lives *inside* execute(), across the global ThreadPool.
  */
 class BatchExecutor
 {
@@ -197,97 +187,6 @@ class BatchExecutor
     /** Cumulative draw weights over cfg_.drawBits (empty = the
      * uniform engine draw). */
     std::vector<double> drawCum_;
-};
-
-/**
- * Synchronous request-queue serving runtime. Not thread-safe itself
- * (one producer); the parallelism lives inside drain().
- */
-class ServingRuntime
-{
-  public:
-    /** See BatchExecutor for the parameter contracts. */
-    ServingRuntime(Network &net, RpsEngine &engine,
-                   const std::vector<int> &input_shape,
-                   ServeConfig cfg = ServeConfig());
-
-    /**
-     * Enqueue a request of x.dim(0) images; returns its id. A
-     * malformed request — wrong rank, wrong image shape, empty, or
-     * more rows than the serving-batch capacity — is rejected with
-     * ServeError: nothing is enqueued, the rejection is counted
-     * (ServeStats::rejected), and the runtime keeps serving.
-     */
-    size_t submit(Tensor x);
-
-    /** Serve everything queued; blocks until all results are ready. */
-    void drain();
-
-    /** Logits of request @p id (valid after drain(), until
-     * clearServed()). */
-    const Tensor &result(size_t id) const;
-
-    /**
-     * Release the stored input and result tensors of every served
-     * request (ids stay allocated; result() on a cleared id panics).
-     * Long-lived submit/drain loops must call this after consuming
-     * results — served requests are otherwise retained so their
-     * results stay addressable.
-     */
-    void clearServed();
-
-    /** Precisions sampled so far, one per served batch. */
-    const std::vector<int> &precisionTrace() const { return trace_; }
-
-    ServeStats stats() const;
-    void resetStats();
-
-    int numReplicas() const { return exec_.numReplicas(); }
-    const ExecutionPlan &plan(int i) const { return exec_.plan(i); }
-
-    /** The shared batch-execution core (async front-end plumbing). */
-    BatchExecutor &executor() { return exec_; }
-
-  private:
-    struct Request
-    {
-        Tensor x;
-        Tensor y;
-        std::chrono::steady_clock::time_point enqueued;
-        double latencyUs = 0.0;
-        bool done = false;
-        bool cleared = false;
-    };
-
-    BatchExecutor exec_;
-    Rng rng_;
-
-    std::vector<Request> requests_;
-    size_t nextToServe_ = 0;
-
-    /** Per-row staging/scatter pointer tables: shards stage straight
-     * from the request tensors and logits scatter straight back into
-     * the request results — no packed batch or logit buffer between
-     * (one copy per side instead of two). */
-    std::vector<const float *> rowSrc_;
-    std::vector<float *> rowDst_;
-    std::vector<int> trace_;
-
-    // Stats.
-    uint64_t servedRequests_ = 0;
-    uint64_t servedRows_ = 0;
-    uint64_t servedBatches_ = 0;
-    uint64_t rejected_ = 0;
-    double wallSeconds_ = 0.0;
-    /** Bounded-memory latency quantiles: soak runs add one sample per
-     * request forever, so an exact sorted vector would grow without
-     * limit; the sketch pins p50/p99 within its relative-error bound
-     * at fixed memory. */
-    QuantileSketch latencyUs_;
-
-    /** Serve one packed batch of @p rows rows from requests
-     * [first, last). */
-    void serveBatch(size_t first, size_t last, int rows);
 };
 
 } // namespace serve

@@ -26,6 +26,15 @@ namespace {
 
 using WClock = std::chrono::steady_clock;
 
+/** Producer shards per tenant queue. */
+constexpr int kQueueShards = 4;
+
+/** Dispatcher idle re-check period (real microseconds). Purely a
+ * liveness bound — with a ManualClock it bounds how long the
+ * dispatcher takes to *notice* an advanced clock, never what it
+ * decides. */
+constexpr int kIdlePollUs = 100;
+
 } // namespace
 
 const char *
@@ -70,8 +79,7 @@ Server::addTenant(Session &session, const std::vector<int> &input_shape)
     // were already applied to its ServeConfig at load). Adopted
     // before any batch forms — later tenants never flip policy
     // mid-stream.
-    if (cfg_.adoptTuning && tenants_.empty() &&
-        session.tuningArtifact() != nullptr) {
+    if (tenants_.empty() && session.tuningArtifact() != nullptr) {
         const tune::TuningArtifact &a = *session.tuningArtifact();
         cfg_.maxBatchDelayUs = a.genome.maxDelayUs;
         cfg_.policy = a.genome.policy == 1
@@ -114,7 +122,7 @@ Server::addTenant(Session &session, const std::vector<int> &input_shape)
     t->session = &session;
     t->group = group;
     t->queue = std::make_unique<RequestQueue>(
-        cfg_.queueShards, static_cast<size_t>(cfg_.queueCapacity));
+        kQueueShards, static_cast<size_t>(cfg_.queueCapacity));
     t->rng = Rng(session.config().serving.seed);
     tenants_.push_back(std::move(t));
     return static_cast<TenantId>(tenants_.size() - 1);
@@ -217,8 +225,7 @@ Server::closeable(const Tenant &t, uint64_t now_ns) const
     if (t.pending.empty())
         return false;
     // Size close: full, or the stashed head request does not fit —
-    // the same whole-request packing boundary the synchronous drain
-    // uses.
+    // whole-request packing.
     if (t.pendingRows >= t.group->exec->maxBatch() ||
         t.stash.has_value())
         return true;
@@ -288,7 +295,7 @@ Server::dispatchLoop()
             // ManualClock advance is noticed; batching *decisions*
             // only ever read clock_.
             cv_.wait_for(lk,
-                         std::chrono::microseconds(cfg_.idlePollUs));
+                         std::chrono::microseconds(kIdlePollUs));
             continue;
         }
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * serve::Server — the asynchronous, deadline-aware, multi-tenant
- * serving front-end.
+ * serving front-end, and the only one: every batched serve runs here.
  *
- * Where ServingRuntime drains synchronously on the caller thread, the
- * Server runs a real event loop: producers submit from any thread
+ * The Server runs a real event loop: producers submit from any thread
  * into a finely sharded MPMC RequestQueue per tenant (admission
  * control: a full queue sheds at submit with ServeError), and one
  * dispatcher thread forms serving batches with arrival-time adaptive
@@ -31,9 +30,12 @@
  * stamps) read the injected common/clock.hh Clock. Under a frozen
  * ManualClock batches close only on size or flush(), which makes
  * batch composition — and therefore precision traces and served
- * logits — a pure function of the submission order: a single-tenant
- * Server reproduces the synchronous drain bit for bit at every
- * candidate precision (pinned in tests/test_server.cc).
+ * logits — a pure function of the submission order. The same holds
+ * on a real clock for a Server started paused: submit, then flush()
+ * packs the backlog whole request by whole request, in submission
+ * order (pinned in tests/test_server.cc). Serial execution is a
+ * ThreadPool::ScopedSerial guard held around flush(): the guard is
+ * process-wide, so it reaches the dispatcher thread.
  */
 
 #ifndef TWOINONE_SERVE_SERVER_HH
@@ -82,8 +84,6 @@ const char *schedulingPolicyName(SchedulingPolicy p);
  * precision seed come from each tenant session's ServeConfig). */
 struct ServerConfig
 {
-    /** Producer shards per tenant queue. */
-    int queueShards = 4;
     /** Admission bound: requests queued per tenant before submit
      * sheds with ServeError. */
     int queueCapacity = 1024;
@@ -101,18 +101,11 @@ struct ServerConfig
      * process SteadyClock. A ManualClock makes every batching and
      * shedding decision deterministic. */
     const Clock *clock = nullptr;
-    /** Dispatcher idle re-check period (real microseconds). Purely a
-     * liveness knob — with a ManualClock it bounds how long the
-     * dispatcher takes to *notice* an advanced clock, never what it
-     * decides. */
-    int idlePollUs = 100;
-    /** Batch-picking policy across tenants. */
+    /** Batch-picking policy across tenants. When the first tenant's
+     * session carries a tuning artifact, addTenant replaces this and
+     * maxBatchDelayUs with the artifact's server-scoped knobs, before
+     * any batch forms. */
     SchedulingPolicy policy = SchedulingPolicy::RoundRobin;
-    /** Adopt the server-scoped autotuner knobs (maxBatchDelayUs,
-     * policy) from the *first* tenant session carrying a tuning
-     * artifact, before any batch forms. Sessions without an artifact
-     * change nothing either way. */
-    bool adoptTuning = true;
 };
 
 /**
@@ -175,7 +168,7 @@ class Server
     void stop();
 
     /** The effective configuration (after any tuning adoption at the
-     * first addTenant — see ServerConfig::adoptTuning). */
+     * first addTenant — see ServerConfig::policy). */
     ServerConfig config() const;
 
     /** Aggregate stats over all tenants. */
@@ -232,7 +225,8 @@ class Server
 
     void dispatchLoop();
     /** Move queued requests into @p t's forming batch (whole-request
-     * packing, same rule as the synchronous drain). */
+     * packing: a request that does not fit waits for the next
+     * batch). */
     void fillPending(Tenant &t);
     /** Whether @p t's forming batch must be served now. */
     bool closeable(const Tenant &t, uint64_t now_ns) const;

@@ -109,7 +109,6 @@ Session::Session(Session &&other) noexcept
     : cfg_(std::move(other.cfg_)), owned_(std::move(other.owned_)),
       net_(other.net_), engine_(std::move(other.engine_)),
       extEngine_(other.extEngine_),
-      runtime_(std::move(other.runtime_)),
       tuning_(std::move(other.tuning_)),
       restorePlanState_(other.restorePlanState_),
       prevPlanExec_(other.prevPlanExec_),
@@ -157,7 +156,7 @@ Session::fromCheckpoint(const std::string &path, SessionConfig cfg)
                 tune::applyGenome(tuning->genome, cfg.serving);
         }
         std::unique_ptr<RpsEngine> engine;
-        if (cfg.restoreEngineCache && cfg.cacheSet.empty())
+        if (cfg.cacheSet.empty())
             engine = checkpoint::StreamingCheckpoint::restoreEngine(
                 sckpt, *net);
         Network *raw = net.get();
@@ -179,7 +178,7 @@ Session::fromCheckpoint(const std::string &path, SessionConfig cfg)
     // A tuning section carries the serving autotuner's winner: copy
     // it out before the checkpoint's cells move into the engine, and
     // (by default) apply its session-scoped knobs to the serving
-    // config before the runtime ever builds.
+    // config before any Server builds its executor.
     std::unique_ptr<tune::TuningArtifact> tuning;
     if (ckpt.tuning() != nullptr) {
         tuning = std::make_unique<tune::TuningArtifact>(*ckpt.tuning());
@@ -191,7 +190,7 @@ Session::fromCheckpoint(const std::string &path, SessionConfig cfg)
     // caller asked for a different candidate subset, which the
     // artifact's full-set cache does not represent. The checkpoint is
     // local and dies here, so the cells move instead of copying.
-    if (cfg.restoreEngineCache && cfg.cacheSet.empty())
+    if (cfg.cacheSet.empty())
         engine = std::move(ckpt).restoreEngine(*net);
     Network *raw = net.get();
     Session s(std::move(net), raw, std::move(cfg),
@@ -255,7 +254,7 @@ Session::activePrecision() const
 void
 Session::ensurePlans(const Tensor &x)
 {
-    if (!cfg_.planExecution || net_->planExecutionEnabled())
+    if (net_->planExecutionEnabled())
         return;
     net_->enablePlanExecution(x.shape());
 }
@@ -286,85 +285,6 @@ Session::predictQuantized(const Tensor &x)
 {
     ensurePlans(x);
     return net_->predictQuantized(x);
-}
-
-serve::ServingRuntime &
-Session::runtime(const Tensor *first)
-{
-    if (!runtime_) {
-        std::vector<int> shape = cfg_.inputShape;
-        if (shape.empty()) {
-            TWOINONE_ASSERT(first != nullptr && first->ndim() > 1,
-                            "session needs a request image shape "
-                            "(SessionConfig::inputShape or a first "
-                            "submitted batch)");
-            for (int i = 1; i < first->ndim(); ++i)
-                shape.push_back(first->dim(i));
-        }
-        runtime_ = std::make_unique<serve::ServingRuntime>(
-            *net_, eng(), shape, cfg_.serving);
-    }
-    return *runtime_;
-}
-
-size_t
-Session::submit(Tensor x)
-{
-    return runtime(&x).submit(std::move(x));
-}
-
-void
-Session::drain()
-{
-    TWOINONE_ASSERT(runtime_ != nullptr,
-                    "drain() before any submit()");
-    runtime_->drain();
-}
-
-const Tensor &
-Session::result(size_t id) const
-{
-    TWOINONE_ASSERT(runtime_ != nullptr,
-                    "result() before any submit()");
-    return runtime_->result(id);
-}
-
-void
-Session::clearServed()
-{
-    if (runtime_)
-        runtime_->clearServed();
-}
-
-std::vector<Tensor>
-Session::serve(const std::vector<Tensor> &requests)
-{
-    if (requests.empty())
-        return {}; // nothing submitted — there may be no runtime yet
-    std::vector<size_t> ids;
-    ids.reserve(requests.size());
-    for (const Tensor &x : requests)
-        ids.push_back(submit(x));
-    drain();
-    std::vector<Tensor> out;
-    out.reserve(ids.size());
-    for (size_t id : ids)
-        out.push_back(runtime_->result(id));
-    runtime_->clearServed();
-    return out;
-}
-
-const std::vector<int> &
-Session::precisionTrace() const
-{
-    static const std::vector<int> empty;
-    return runtime_ ? runtime_->precisionTrace() : empty;
-}
-
-serve::ServeStats
-Session::stats() const
-{
-    return runtime_ ? runtime_->stats() : serve::ServeStats();
 }
 
 void

@@ -4,15 +4,16 @@
  *
  * Before sessions, standing a trained RPS model up for serving took a
  * five-step caller ritual: construct the model, attach an RpsEngine,
- * run the Calibrator, compile plans / enablePlanExecution, wrap the
- * lot in a ServingRuntime. A Session is that wiring behind one
- * object:
+ * run the Calibrator, compile plans / enablePlanExecution, build the
+ * serving executor. A Session deploys the model behind one object,
+ * and serve::Server (serve/server.hh) serves it as a tenant:
  *
  *   auto s = Session::fromCheckpoint("model.ckpt");
- *   s.serve(requests);            // batched RPS serving
+ *   serve::Server server;
+ *   int t = server.addTenant(s, {3, 32, 32});
+ *   server.submit(t, x).get();    // batched RPS serving
  *   s.predict(x);                 // plan-routed predictions
  *   s.switchPrecision(8);         // explicit precision control
- *   s.stats(); s.precisionTrace();
  *
  * Construction paths:
  *  - fromCheckpoint(path): rebuild the network from its persisted
@@ -51,27 +52,22 @@ namespace twoinone {
 struct SessionConfig
 {
     /** Serving-loop configuration (batch geometry, datapath mode,
-     * sampling seed, replicas). lazyPlanWarmup defaults on for
-     * sessions: cold start pays one structural pass instead of one
-     * dry pass per candidate. */
+     * sampling seed, replicas) the Server reads when this session
+     * becomes a tenant. lazyPlanWarmup defaults on for sessions: cold
+     * start pays one structural pass instead of one dry pass per
+     * candidate. */
     serve::ServeConfig serving = defaultServing();
 
-    /** Per-request image shape [C, H, W...]; empty = derived from the
-     * first submitted request. */
+    /** Per-request image shape [C, H, W...]; empty = the caller
+     * passes it to serve::Server::addTenant. */
     std::vector<int> inputShape;
 
     /** Engine cache candidates; empty = the network's full bound
-     * set. A non-empty set overrides a serialized code cache (the
-     * cache is built fresh for the requested subset). */
+     * set. An empty set warm-starts the engine from a checkpoint's
+     * serialized code cache when it carries one; a non-empty set
+     * overrides it (the cache is built fresh for the requested
+     * subset). */
     PrecisionSet cacheSet;
-
-    /** Route predict()/forwardQuantized() through internally compiled
-     * plans (bit-identical to the legacy loops). */
-    bool planExecution = true;
-
-    /** Warm-start the engine from a serialized code cache when the
-     * checkpoint carries one. */
-    bool restoreEngineCache = true;
 
     /** @name Streaming artifacts & cache budgets
      * streamArtifact makes fromCheckpoint() hydrate lazily: header +
@@ -94,7 +90,7 @@ struct SessionConfig
     /** Auto-apply a checkpoint's tuning section (serving autotuner
      * winner) to the serving config: batch geometry, replicas,
      * precision draw distribution. The artifact stays readable via
-     * tuningArtifact() either way (the async Server adopts the
+     * tuningArtifact() either way (the Server adopts the
      * server-scoped knobs — max delay, scheduling policy — from it). */
     bool applyTuning = true;
 
@@ -125,8 +121,8 @@ struct SessionConfig
 };
 
 /**
- * A deployed RPS model: network + precision-switch engine + batched
- * serving runtime behind one facade. Movable, non-copyable.
+ * A deployed RPS model: network + precision-switch engine behind one
+ * facade; serve::Server serves it as a tenant. Movable, non-copyable.
  */
 class Session
 {
@@ -190,23 +186,6 @@ class Session
     std::vector<int> predictQuantized(const Tensor &x);
     /** @} */
 
-    /** @name Batched RPS serving */
-    /** @{ */
-    /** Serve a burst of requests: submit all, drain, return each
-     * request's logits in order. One random precision per serving
-     * batch, drawn from the engine's candidate set. */
-    std::vector<Tensor> serve(const std::vector<Tensor> &requests);
-    /** Streaming variants (see serve::ServingRuntime). */
-    size_t submit(Tensor x);
-    void drain();
-    const Tensor &result(size_t id) const;
-    void clearServed();
-    /** Precisions sampled so far, one per served batch (empty before
-     * the first drain). */
-    const std::vector<int> &precisionTrace() const;
-    serve::ServeStats stats() const;
-    /** @} */
-
     /** @name Calibration & persistence */
     /** @{ */
     /** Record activation ranges over @p batches and flip the model to
@@ -228,12 +207,9 @@ class Session
     /** @{ */
     Network &network() { return *net_; }
     RpsEngine &engine() { return eng(); }
-    /** The construction-time configuration (the async Server reads
-     * the serving geometry and input shape of its tenants). */
+    /** The construction-time configuration (the Server reads the
+     * serving geometry and input shape of its tenants). */
     const SessionConfig &config() const { return cfg_; }
-    /** Whether the serving runtime has been instantiated (it builds
-     * lazily on first serve). */
-    bool servingStarted() const { return runtime_ != nullptr; }
     /** The tuning artifact this session loaded from its checkpoint
      * (null when the artifact had no tuning section or the session
      * was not checkpoint-built). */
@@ -243,7 +219,7 @@ class Session
     }
     /** Attach @p artifact to the session (persisted by save(); the
      * serving config is NOT re-derived — call tune::applyGenome
-     * before the runtime builds to change live behavior). */
+     * before the session joins a Server to change live behavior). */
     void setTuningArtifact(const tune::TuningArtifact &artifact);
     /** @} */
 
@@ -259,10 +235,6 @@ class Session
         return extEngine_ != nullptr ? *extEngine_ : *engine_;
     }
 
-    /** The serving runtime, built on first use (derives the request
-     * shape from @p first when the config left it empty). */
-    serve::ServingRuntime &runtime(const Tensor *first);
-
     /** Route the network's entry points through plans sized for
      * @p x (first call only; later shapes fall back gracefully). */
     void ensurePlans(const Tensor &x);
@@ -274,7 +246,6 @@ class Session
     /** Non-owning shared engine (attach(net, engine)); when set,
      * engine_ stays null. */
     RpsEngine *extEngine_ = nullptr;
-    std::unique_ptr<serve::ServingRuntime> runtime_;
     /** Tuning artifact carried by the loaded checkpoint (if any). */
     std::unique_ptr<tune::TuningArtifact> tuning_;
 

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 
 #include "io/checkpoint.hh"
@@ -23,6 +24,7 @@
 #include "nn/sgd.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
+#include "serve/server.hh"
 #include "serve/session.hh"
 
 namespace twoinone {
@@ -415,8 +417,9 @@ TEST(Checkpoint, InconsistentVectorStateIsRejected)
 }
 
 /** The Session facade end to end: fromNetwork wiring, batched
- * serving with a deterministic precision trace, and results matching
- * a direct engine forward at the traced precision. */
+ * serving through a one-tenant serve::Server with a deterministic
+ * precision trace, and results matching a direct engine forward at
+ * the traced precision. */
 TEST(Session, ServeMatchesEngineForward)
 {
     Network net = makeTinyNet(48);
@@ -437,35 +440,60 @@ TEST(Session, ServeMatchesEngineForward)
     for (int i = 0; i < 5; ++i)
         requests.push_back(
             Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f, 1.0f));
-    std::vector<Tensor> results = s.serve(requests);
-    ASSERT_EQ(results.size(), requests.size());
 
-    const std::vector<int> &trace = s.precisionTrace();
-    ASSERT_EQ(trace.size(), requests.size());
+    // Started paused, then flushed: batch composition follows the
+    // submission order on the real clock.
+    struct Served
+    {
+        std::vector<Tensor> y;
+        std::vector<int> trace;
+        serve::ServeStats stats;
+    };
+    auto serve_all = [&](Session &sess) {
+        serve::ServerConfig sc;
+        sc.startPaused = true;
+        serve::Server server(sc);
+        int tenant = server.addTenant(sess, {3, 8, 8});
+        std::vector<std::future<serve::Reply>> futs;
+        for (const Tensor &x : requests)
+            futs.push_back(server.submit(tenant, x));
+        server.flush();
+        Served out;
+        for (auto &f : futs)
+            out.y.push_back(f.get().y);
+        out.trace = server.precisionTrace(tenant);
+        out.stats = server.stats();
+        return out;
+    };
+    Served first = serve_all(s);
+
+    ASSERT_EQ(first.trace.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
         Tensor y_ref =
-            s.engine().forwardQuantizedAt(trace[i], requests[i]);
-        // serve() runs plan replicas; the direct forward runs the
+            s.engine().forwardQuantizedAt(first.trace[i], requests[i]);
+        // The server runs plan replicas; the direct forward runs the
         // legacy loop — bit-identical with calibrated static scales.
-        ASSERT_EQ(y_ref.size(), results[i].size());
+        ASSERT_EQ(y_ref.size(), first.y[i].size());
         for (size_t j = 0; j < y_ref.size(); ++j)
-            ASSERT_EQ(y_ref[j], results[i][j]) << "req " << i;
+            ASSERT_EQ(y_ref[j], first.y[i][j]) << "req " << i;
     }
 
-    serve::ServeStats st = s.stats();
+    const serve::ServeStats &st = first.stats;
     EXPECT_EQ(st.requests, requests.size());
     EXPECT_EQ(st.rows, 4 * requests.size());
+    EXPECT_EQ(st.batches, requests.size());
     EXPECT_GT(st.qps, 0.0);
+    EXPECT_LE(st.p50Us, st.p99Us);
 
     // A second session with the same seed replays the same trace.
     std::string path = tmpPath("session");
     s.save(path);
     Session s2 = Session::fromCheckpoint(path, cfg);
-    std::vector<Tensor> results2 = s2.serve(requests);
-    EXPECT_EQ(s2.precisionTrace(), trace);
-    for (size_t i = 0; i < results.size(); ++i)
-        for (size_t j = 0; j < results[i].size(); ++j)
-            ASSERT_EQ(results[i][j], results2[i][j]);
+    Served second = serve_all(s2);
+    EXPECT_EQ(second.trace, first.trace);
+    for (size_t i = 0; i < first.y.size(); ++i)
+        for (size_t j = 0; j < first.y[i].size(); ++j)
+            ASSERT_EQ(first.y[i][j], second.y[i][j]);
     std::remove(path.c_str());
 }
 

@@ -88,7 +88,7 @@ TEST(HarnessJson, ParseErrorsCarryLineAndColumn)
 }
 
 // ---------------------------------------------------------------------------
-// Bounded quantile sketch (ServingRuntime latency stats)
+// Bounded quantile sketch (Server latency stats)
 // ---------------------------------------------------------------------------
 
 TEST(QuantileSketch, QuantilesWithinRelativeErrorAtFixedMemory)
@@ -322,13 +322,24 @@ TEST(EventJournal, SequencedLinesAndStableDigest)
 // End to end: headline faults + same-seed determinism
 // ---------------------------------------------------------------------------
 
+/** Parse @p text with serving.async set to @p async. */
+ScenarioSpec
+specWithAsync(const std::string &text, bool async)
+{
+    Json doc = Json::parse(text);
+    Json serving = *doc.find("serving");
+    serving.set("async", Json(async));
+    doc.set("serving", serving);
+    return parseScenario(doc);
+}
+
 /** A fast scenario exercising the three headline faults: corrupted
  * checkpoint load (transient and persistent), a cache-eviction
  * storm, and thread-pool starvation, plus a malformed request. */
 ScenarioSpec
-e2eSpec()
+e2eSpec(bool async = false)
 {
-    return parseScenario(Json::parse(R"({
+    const char *text = R"({
       "name": "e2e",
       "seed": 31,
       "model": {"arch": "convnet_tiny", "base_width": 4,
@@ -353,7 +364,8 @@ e2eSpec()
         {"type": "corrupt_checkpoint", "phase": 1, "at": 1,
          "mode": "truncate", "persistent": true}
       ]
-    })"));
+    })";
+    return specWithAsync(text, async);
 }
 
 uint64_t
@@ -393,6 +405,57 @@ TEST(ScenarioRunner, HeadlineFaultsRecoverAndRerunsAreByteIdentical)
     EXPECT_FALSE(readAll(out1 + "/e2e/run.json").empty());
     EXPECT_FALSE(readAll(out1 + "/e2e/metrics.json").empty());
     EXPECT_FALSE(readAll(out1 + "/e2e/model.ckpt").empty());
+}
+
+/** Both modes serve through the Server, so the async flag changes no
+ * count or draw, and starve_pool reaches the dispatcher thread
+ * (ScopedSerial is process-wide). */
+TEST(ScenarioRunner, AsyncRunRecoversEveryFaultAndMatchesSyncRun)
+{
+    RunResult sync = ScenarioRunner(e2eSpec(false), tmpDir("e2e_sync"))
+                         .run();
+    RunResult async =
+        ScenarioRunner(e2eSpec(true), tmpDir("e2e_async")).run();
+
+    EXPECT_TRUE(async.faultsRecovered);
+    EXPECT_EQ(countMetric(async.metrics, "faults_injected"), 5u);
+    EXPECT_EQ(countMetric(async.metrics, "faults_recovered"), 5u);
+    EXPECT_EQ(async.metrics.find("counts")->dump(),
+              sync.metrics.find("counts")->dump());
+    EXPECT_EQ(
+        async.metrics.find("digests")->find("precision_trace")->dump(),
+        sync.metrics.find("digests")->find("precision_trace")->dump());
+}
+
+/** One traffic point of more requests than the Server's default
+ * admission bound (1024) serves whole in both modes: the runner sizes
+ * the tenant queue from the phases. */
+TEST(ScenarioRunner, BurstBeyondDefaultQueueCapacityServesWhole)
+{
+    const std::string text = R"({
+      "name": "bigburst", "seed": 5,
+      "model": {"arch": "convnet_tiny", "base_width": 4,
+                "calibrate_batches": 1},
+      "data": {"classes": 4, "size": 8, "train": 32, "test": 64},
+      "serving": {"max_batch": 4, "micro_batch": 4,
+                  "mode": "quantized"},
+      "phases": [{"type": "bursty", "bursts": 1,
+                  "burst_requests": 2048, "rows_per_request": 1}]
+    })";
+    for (bool async : {false, true}) {
+        RunResult r = ScenarioRunner(specWithAsync(text, async),
+                                     tmpDir(async ? "burst_async"
+                                                  : "burst_sync"))
+                          .run();
+        EXPECT_EQ(countMetric(r.metrics, "shed_requests"), 0u);
+        EXPECT_EQ(countMetric(r.metrics, "requests"), 2048u);
+        EXPECT_EQ(countMetric(r.metrics, "batches"), 512u);
+        EXPECT_EQ(r.metrics.find("digests")
+                      ->find("precision_trace")
+                      ->asString(),
+                  "4a786e6ff57f08e1")
+            << "async=" << async;
+    }
 }
 
 TEST(ScenarioRunner, BaselineCompareCatchesCountDrift)

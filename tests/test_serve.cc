@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the compiled execution plans and the batched RPS serving
- * runtime (ISSUE 4): plan forwards must be bit-identical to the
- * legacy per-layer loops at every candidate precision (cached,
- * uncached, calibrated, full precision), allocate zero tensors after
- * compile, reuse the arena safely across batch sizes, and the
- * serving runtime must sample precisions deterministically from its
- * seed with outputs independent of the thread count (CMake re-runs
- * this binary under TWOINONE_THREADS=1/4 and TWOINONE_BACKEND=naive).
+ * Tests for the compiled execution plans: plan forwards must be
+ * bit-identical to the legacy per-layer loops at every candidate
+ * precision (cached, uncached, calibrated, full precision), allocate
+ * zero tensors after compile, reuse the arena safely across batch
+ * sizes, and produce outputs independent of the thread count (CMake
+ * re-runs this binary under TWOINONE_THREADS=1/4 and
+ * TWOINONE_BACKEND=naive). The batched serving tests live in
+ * test_server.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include "nn/model_zoo.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
-#include "serve/runtime.hh"
+#include "serve/execution_plan.hh"
 
 namespace twoinone {
 namespace {
@@ -280,199 +280,6 @@ TEST(ExecutionPlan, GatherTablesSharedAcrossReplicas)
     // Same geometry, same scratch order: replica B's conv steps must
     // point at replica A's tables, not private copies.
     EXPECT_EQ(ta, tb);
-}
-
-/** Precision sampling in the serving runtime is a pure function of
- * the seed, and the served logits are bit-identical run to run. */
-TEST(ServingRuntime, DeterministicPrecisionSampling)
-{
-    Network net = makeTinyNet(49);
-    RpsEngine engine(net);
-    serve::ServeConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.microBatch = 4;
-    cfg.seed = 1234;
-
-    auto run_once = [&](bool serial) {
-        serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
-        Rng req_rng(5);
-        for (int i = 0; i < 6; ++i)
-            srv.submit(Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f,
-                                       1.0f));
-        if (serial) {
-            ThreadPool::ScopedSerial guard;
-            srv.drain();
-        } else {
-            srv.drain();
-        }
-        std::pair<std::vector<int>, std::vector<Tensor>> out;
-        out.first = srv.precisionTrace();
-        for (size_t i = 0; i < 6; ++i)
-            out.second.push_back(srv.result(i));
-        return out;
-    };
-
-    auto a = run_once(false);
-    auto b = run_once(false);
-    auto c = run_once(true); // serial drain: same results, same trace
-
-    EXPECT_EQ(a.first, b.first);
-    EXPECT_EQ(a.first, c.first);
-    ASSERT_FALSE(a.first.empty());
-    for (int bits : a.first)
-        EXPECT_TRUE(engine.set().contains(bits));
-    for (size_t i = 0; i < a.second.size(); ++i) {
-        expectBitIdentical(a.second[i], b.second[i], a.first[0]);
-        expectBitIdentical(a.second[i], c.second[i], a.first[0]);
-    }
-}
-
-/** Served logits equal a direct engine forward at the precision the
- * runtime sampled for that batch. Calibrated static scales make the
- * result independent of the micro-batch sharding (dynamic ranges are
- * per-shard by construction — see serve/runtime.hh). */
-TEST(ServingRuntime, ResultsMatchEngineForward)
-{
-    Network net = makeTinyNet(50);
-    {
-        Rng cal_rng(60);
-        Calibrator cal(net);
-        cal.calibrate(
-            {Tensor::uniform({8, 3, 8, 8}, cal_rng, 0.0f, 1.0f)});
-    }
-    RpsEngine engine(net);
-    serve::ServeConfig cfg;
-    cfg.maxBatch = 4; // one request per serving batch
-    cfg.microBatch = 2;
-    cfg.seed = 99;
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
-
-    Rng req_rng(6);
-    std::vector<Tensor> xs;
-    for (int i = 0; i < 5; ++i) {
-        xs.push_back(Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f, 1.0f));
-        srv.submit(xs.back());
-    }
-    srv.drain();
-
-    const std::vector<int> &trace = srv.precisionTrace();
-    ASSERT_EQ(trace.size(), xs.size()); // maxBatch == request rows
-    for (size_t i = 0; i < xs.size(); ++i) {
-        Tensor y_ref = engine.forwardQuantizedAt(trace[i], xs[i]);
-        expectBitIdentical(y_ref, srv.result(i), trace[i]);
-    }
-
-    serve::ServeStats st = srv.stats();
-    EXPECT_EQ(st.requests, xs.size());
-    EXPECT_EQ(st.rows, 4 * xs.size());
-    EXPECT_EQ(st.batches, xs.size());
-    EXPECT_GT(st.qps, 0.0);
-    EXPECT_LE(st.p50Us, st.p99Us);
-
-    // Long-lived loops release served requests; later submissions
-    // keep working and stats keep accumulating.
-    srv.clearServed();
-    size_t id = srv.submit(xs[0]);
-    srv.drain();
-    Tensor y_ref = engine.forwardQuantizedAt(srv.precisionTrace().back(),
-                                             xs[0]);
-    expectBitIdentical(y_ref, srv.result(id),
-                       srv.precisionTrace().back());
-    EXPECT_EQ(srv.stats().requests, xs.size() + 1);
-}
-
-/** Malformed submissions — wrong rank, wrong image shape, empty,
- * oversized — are rejected with ServeError, counted in
- * ServeStats::rejected, and leave the runtime serving healthy
- * traffic bit-identically to an undisturbed run. */
-TEST(ServingRuntime, MalformedSubmissionsRejectedWithoutDisruption)
-{
-    Network net = makeTinyNet(51);
-    RpsEngine engine(net);
-    serve::ServeConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.microBatch = 4;
-    cfg.seed = 321;
-
-    Rng req_rng(7);
-    std::vector<Tensor> good;
-    for (int i = 0; i < 4; ++i)
-        good.push_back(Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f,
-                                       1.0f));
-
-    // Reference: the same healthy traffic with no garbage mixed in.
-    serve::ServingRuntime ref(net, engine, {3, 8, 8}, cfg);
-    for (const Tensor &x : good)
-        ref.submit(x);
-    ref.drain();
-
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
-    Rng junk_rng(8);
-    std::vector<size_t> ids;
-    ids.push_back(srv.submit(good[0]));
-    // Wrong rank: 2-d tensor where [N, C, H, W] is expected.
-    EXPECT_THROW(srv.submit(Tensor::uniform({4, 9}, junk_rng, 0.0f,
-                                            1.0f)),
-                 serve::ServeError);
-    ids.push_back(srv.submit(good[1]));
-    // Wrong image shape: trailing dims disagree with the runtime's.
-    EXPECT_THROW(srv.submit(Tensor::uniform({4, 3, 8, 9}, junk_rng,
-                                            0.0f, 1.0f)),
-                 serve::ServeError);
-    // Oversized: more rows than the serving-batch capacity.
-    EXPECT_THROW(srv.submit(Tensor::uniform({cfg.maxBatch + 1, 3, 8, 8},
-                                            junk_rng, 0.0f, 1.0f)),
-                 serve::ServeError);
-    ids.push_back(srv.submit(good[2]));
-    ids.push_back(srv.submit(good[3]));
-    srv.drain();
-
-    // The rejection messages name the offending dimension.
-    try {
-        srv.submit(Tensor::uniform({cfg.maxBatch + 1, 3, 8, 8},
-                                   junk_rng, 0.0f, 1.0f));
-        FAIL() << "oversized request accepted";
-    } catch (const serve::ServeError &e) {
-        EXPECT_NE(std::string(e.what()).find("batch"),
-                  std::string::npos);
-    }
-
-    serve::ServeStats st = srv.stats();
-    EXPECT_EQ(st.rejected, 4u);
-    EXPECT_EQ(st.requests, good.size());
-    EXPECT_EQ(st.rows, 4 * good.size());
-
-    // Healthy traffic was untouched by the rejections: same sampled
-    // precisions, bit-identical results as the undisturbed run.
-    EXPECT_EQ(srv.precisionTrace(), ref.precisionTrace());
-    for (size_t i = 0; i < good.size(); ++i)
-        expectBitIdentical(ref.result(i), srv.result(ids[i]),
-                           srv.precisionTrace().front());
-    EXPECT_EQ(ref.stats().rejected, 0u);
-}
-
-/** Reading a result slot after clearServed() released it is a
- * use-after-free in waiting: the runtime panics (TWOINONE_ASSERT →
- * abort) instead of returning a dangling reference. */
-TEST(ServingRuntimeDeathTest, ResultAfterClearServedPanics)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Network net = makeTinyNet(52);
-    RpsEngine engine(net);
-    serve::ServeConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.microBatch = 4;
-    cfg.seed = 77;
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
-
-    Rng req_rng(9);
-    size_t id =
-        srv.submit(Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f, 1.0f));
-    srv.drain();
-    (void)srv.result(id); // valid while served and not yet released
-    srv.clearServed();
-    EXPECT_DEATH((void)srv.result(id),
-                 "released by clearServed");
 }
 
 } // namespace

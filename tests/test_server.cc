@@ -3,13 +3,15 @@
  * Tests for the asynchronous multi-tenant serving front-end
  * (serve/server.hh): adaptive micro-batch closing (size vs age vs
  * flush), deadline load shedding before compute, admission control,
- * fair round-robin scheduling across tenants, bit-identity with the
- * synchronous drain at every candidate precision, clean shutdown with
- * in-flight requests, and a multi-producer submit hammer. Every
- * batching decision runs against an injected ManualClock, so the
- * asserted quantities are deterministic — including under the
- * TWOINONE_THREADS=1/4 and TWOINONE_BACKEND=naive ctest matrix and
- * under TSan.
+ * malformed-request rejection, fair round-robin scheduling across
+ * tenants, whole-request packing, bit-identity with the engine's
+ * per-layer reference forward at every candidate precision, seeded
+ * precision draws (also with flush() under ScopedSerial), clean
+ * shutdown with in-flight requests, and a multi-producer submit
+ * hammer. Every batching decision runs against an injected
+ * ManualClock, so the asserted quantities are deterministic —
+ * including under the TWOINONE_THREADS=1/4 and TWOINONE_BACKEND=naive
+ * ctest matrix and under TSan.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/clock.hh"
+#include "common/thread_pool.hh"
 #include "nn/model_zoo.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
@@ -197,30 +200,71 @@ TEST(Server, AdmissionControlShedsWhenQueueIsFull)
     server.stop();
 }
 
-/** A malformed request is rejected synchronously at submit, counted,
- * and does not disturb the well-formed traffic around it. */
+/** Malformed requests — wrong rank, wrong image shape, more rows than
+ * maxBatch — are rejected synchronously at submit with ServeError and
+ * counted, and the well-formed traffic around them serves
+ * bit-identically to an undisturbed run. */
 TEST(Server, MalformedRequestsRejectedWithoutDisruption)
 {
     Network net = makeTinyNet(15);
-    ManualClock clock;
-    serve::Server server(frozenConfig(clock));
-    Session session = Session::attach(net, tenantConfig(25));
-    int tenant = server.addTenant(session);
+    RpsEngine engine(net);
+    std::vector<Tensor> good;
+    for (int i = 0; i < 4; ++i)
+        good.push_back(makeInput(7 + i));
 
-    std::future<serve::Reply> good =
-        server.submit(tenant, makeInput(7, 2));
-    EXPECT_THROW(server.submit(tenant, Tensor({2, 3}, 0.5f)),
-                 serve::ServeError); // wrong rank
-    EXPECT_THROW(server.submit(tenant, makeInput(8, 9)),
-                 serve::ServeError); // rows > maxBatch
-    server.resume();
-    server.flush();
-    EXPECT_EQ(good.get().y.dim(0), 2);
-    serve::ServeStats s = server.stats();
-    EXPECT_EQ(s.rejected, 2u);
-    EXPECT_EQ(s.shed, 0u);
-    EXPECT_EQ(s.requests, 1u);
-    server.stop();
+    struct Run
+    {
+        std::vector<Tensor> y;
+        std::vector<int> trace;
+        serve::ServeStats stats;
+    };
+    auto serve_good = [&](bool with_junk) {
+        ManualClock clock;
+        serve::Server server(frozenConfig(clock));
+        Session session =
+            Session::attach(net, engine, tenantConfig(25));
+        int tenant = server.addTenant(session);
+        std::vector<std::future<serve::Reply>> futs;
+        for (size_t i = 0; i < good.size(); ++i) {
+            futs.push_back(server.submit(tenant, good[i]));
+            if (!with_junk || i != 1)
+                continue;
+            EXPECT_THROW(server.submit(tenant, Tensor({2, 3}, 0.5f)),
+                         serve::ServeError); // wrong rank
+            EXPECT_THROW(
+                server.submit(tenant, Tensor({2, 3, 8, 9}, 0.5f)),
+                serve::ServeError); // wrong image shape
+            try {
+                server.submit(tenant, makeInput(8, 9)); // rows > 8
+                ADD_FAILURE() << "oversized request accepted";
+            } catch (const serve::ServeError &e) {
+                // The rejection names the offending dimension.
+                EXPECT_NE(std::string(e.what()).find("batch"),
+                          std::string::npos);
+            }
+        }
+        server.flush();
+        Run r;
+        for (auto &f : futs)
+            r.y.push_back(f.get().y);
+        r.trace = server.precisionTrace(tenant);
+        r.stats = server.stats();
+        server.stop();
+        return r;
+    };
+    Run ref = serve_good(false);
+    Run run = serve_good(true);
+
+    EXPECT_EQ(ref.stats.rejected, 0u);
+    EXPECT_EQ(run.stats.rejected, 3u);
+    EXPECT_EQ(run.stats.shed, 0u);
+    EXPECT_EQ(run.stats.requests, good.size());
+    EXPECT_EQ(run.stats.rows, 4 * good.size());
+    // Same sampled precisions, bit-identical logits.
+    EXPECT_EQ(run.trace, ref.trace);
+    for (size_t i = 0; i < good.size(); ++i)
+        expectBitIdentical(ref.y[i], run.y[i],
+                           "req=" + std::to_string(i));
 }
 
 /** Round-robin fairness: with both tenants backlogged, batch
@@ -258,82 +302,115 @@ TEST(Server, FairSchedulingAcrossTwoTenants)
     server.stop();
 }
 
-/** The async server reproduces the synchronous drain bit for bit:
- * same requests, same packing, same precision draws, same logits —
- * pinned per candidate by serving through single-candidate engines,
- * and across the full rps4to16 set via the seeded sampler. */
-TEST(Server, BitIdenticalToSynchronousDrainAtEveryCandidate)
+/** Replies equal the engine's per-layer reference forward at their
+ * batch's traced precision — pinned per candidate by serving through
+ * single-candidate engines, and across the full rps4to16 set via the
+ * seeded sampler. Calibrated static scales make a row's logits
+ * independent of the batch it landed in. Mixed request sizes pin
+ * whole-request packing: rows {4,3,8,2,5,1,6,7} at maxBatch 8 close
+ * as [4,3] [8] [2,5,1] [6] [7]. */
+TEST(Server, BitIdenticalToEngineForwardAtEveryCandidate)
 {
-    // Mixed request sizes exercise the whole-request packing rule.
     const std::vector<int> rows = {4, 3, 8, 2, 5, 1, 6, 7};
+    const std::vector<size_t> batch_of = {0, 0, 1, 2, 2, 2, 3, 4};
 
     Network net = makeTinyNet(17);
+    {
+        Rng cal_rng(62);
+        Calibrator cal(net);
+        cal.calibrate(
+            {Tensor::uniform({8, 3, 8, 8}, cal_rng, 0.0f, 1.0f)});
+    }
+    auto check = [&](RpsEngine &engine, uint64_t seed,
+                     const std::string &what) {
+        ManualClock clock;
+        serve::Server server(frozenConfig(clock));
+        Session session =
+            Session::attach(net, engine, tenantConfig(seed));
+        int tenant = server.addTenant(session);
+        std::vector<Tensor> xs;
+        std::vector<std::future<serve::Reply>> futs;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            xs.push_back(makeInput(500 + i, rows[i]));
+            futs.push_back(server.submit(tenant, xs.back()));
+        }
+        server.flush();
+
+        const std::vector<int> trace = server.precisionTrace(tenant);
+        ASSERT_EQ(trace.size(), 5u) << what;
+        EXPECT_EQ(server.stats().batches, 5u) << what;
+        for (int bits : trace)
+            EXPECT_TRUE(engine.set().contains(bits)) << what;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            serve::Reply r = futs[i].get();
+            int bits = trace[batch_of[i]];
+            EXPECT_EQ(r.precision, bits) << what;
+            expectBitIdentical(engine.forwardQuantizedAt(bits, xs[i]),
+                               r.y,
+                               what + " req=" + std::to_string(i));
+        }
+        server.stop();
+    };
+
     for (int bits : net.precisionSet().bits()) {
         // A single-candidate engine pins every draw to `bits`.
         RpsEngine engine(net, PrecisionSet({bits}));
-        serve::ServeConfig scfg;
-        scfg.maxBatch = 8;
-        scfg.microBatch = 4;
-        scfg.seed = 99;
-        serve::ServingRuntime sync(net, engine, {3, 8, 8}, scfg);
-        std::vector<size_t> ids;
-        for (size_t i = 0; i < rows.size(); ++i)
-            ids.push_back(sync.submit(
-                makeInput(500 + i, rows[i])));
-        sync.drain();
+        check(engine, 99, "bits=" + std::to_string(bits));
+    }
+    RpsEngine engine(net);
+    check(engine, 4242, "rps");
+}
 
+/** Precision sampling is a pure function of the tenant's seed, and the
+ * served logits are bit-identical run to run — also when flush() runs
+ * under ScopedSerial, whose process-wide guard reaches the dispatcher
+ * thread. */
+TEST(Server, DeterministicPrecisionSampling)
+{
+    Network net = makeTinyNet(49);
+    RpsEngine engine(net);
+
+    auto run_once = [&](bool serial) {
         ManualClock clock;
         serve::Server server(frozenConfig(clock));
-        SessionConfig tcfg = tenantConfig(99);
-        Session session = Session::attach(net, engine, tcfg);
+        Session session =
+            Session::attach(net, engine, tenantConfig(1234));
         int tenant = server.addTenant(session);
+        Rng req_rng(5);
         std::vector<std::future<serve::Reply>> futs;
-        for (size_t i = 0; i < rows.size(); ++i)
+        for (int i = 0; i < 6; ++i)
             futs.push_back(server.submit(
-                tenant, makeInput(500 + i, rows[i])));
-        server.resume();
-        server.flush();
-
-        for (size_t i = 0; i < rows.size(); ++i) {
-            serve::Reply r = futs[i].get();
-            EXPECT_EQ(r.precision, bits);
-            expectBitIdentical(sync.result(ids[i]), r.y,
-                               "bits=" + std::to_string(bits) +
-                                   " req=" + std::to_string(i));
+                tenant,
+                Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f, 1.0f)));
+        if (serial) {
+            ThreadPool::ScopedSerial guard;
+            server.flush();
+        } else {
+            server.flush();
         }
-        EXPECT_EQ(server.precisionTrace(tenant),
-                  sync.precisionTrace());
+        std::pair<std::vector<int>, std::vector<Tensor>> out;
+        out.first = server.precisionTrace(tenant);
+        for (auto &f : futs)
+            out.second.push_back(f.get().y);
         server.stop();
+        return out;
+    };
+
+    auto a = run_once(false);
+    auto b = run_once(false);
+    auto c = run_once(true); // serial flush: same results, same trace
+
+    EXPECT_EQ(a.first, b.first);
+    EXPECT_EQ(a.first, c.first);
+    ASSERT_FALSE(a.first.empty());
+    for (int bits : a.first)
+        EXPECT_TRUE(engine.set().contains(bits));
+    for (size_t i = 0; i < a.second.size(); ++i) {
+        expectBitIdentical(a.second[i], b.second[i],
+                           "rerun req=" + std::to_string(i));
+        expectBitIdentical(a.second[i], c.second[i],
+                           "serial req=" + std::to_string(i));
     }
-
-    // Full candidate set: the async tenant's seeded sampler replays
-    // the sync runtime's draws, so packing AND precisions agree.
-    RpsEngine engine(net);
-    serve::ServeConfig scfg;
-    scfg.maxBatch = 8;
-    scfg.microBatch = 4;
-    scfg.seed = 4242;
-    serve::ServingRuntime sync(net, engine, {3, 8, 8}, scfg);
-    std::vector<size_t> ids;
-    for (size_t i = 0; i < rows.size(); ++i)
-        ids.push_back(sync.submit(makeInput(600 + i, rows[i])));
-    sync.drain();
-
-    ManualClock clock;
-    serve::Server server(frozenConfig(clock));
-    Session session = Session::attach(net, engine, tenantConfig(4242));
-    int tenant = server.addTenant(session);
-    std::vector<std::future<serve::Reply>> futs;
-    for (size_t i = 0; i < rows.size(); ++i)
-        futs.push_back(
-            server.submit(tenant, makeInput(600 + i, rows[i])));
-    server.resume();
-    server.flush();
-    for (size_t i = 0; i < rows.size(); ++i)
-        expectBitIdentical(sync.result(ids[i]), futs[i].get().y,
-                           "rps req=" + std::to_string(i));
-    EXPECT_EQ(server.precisionTrace(tenant), sync.precisionTrace());
-    server.stop();
 }
 
 /** Stopping with requests still queued shed them all through their

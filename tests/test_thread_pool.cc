@@ -2,13 +2,16 @@
  * @file
  * Unit tests for the ThreadPool parallelFor primitive: full range
  * coverage with disjoint chunks, grain cutoff, nested-call inlining,
- * and env-var thread-count parsing.
+ * the process-wide ScopedSerial guard, and env-var thread-count
+ * parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -118,6 +121,28 @@ TEST(ThreadPool, ScopedSerialForcesInline)
         EXPECT_EQ(calls, 1);
     }
     EXPECT_FALSE(ThreadPool::inParallelRegion());
+}
+
+/** The guard is process-wide: while it lives on this thread, a
+ * parallelFor started on another thread (a serving dispatcher, say)
+ * runs all its chunks inline on that thread. */
+TEST(ThreadPool, ScopedSerialReachesOtherThreads)
+{
+    ThreadPool pool(4);
+    ThreadPool::ScopedSerial serial;
+    std::mutex mu;
+    std::vector<std::thread::id> ran;
+    std::thread::id caller;
+    std::thread other([&] {
+        caller = std::this_thread::get_id();
+        pool.parallelFor(0, 10000, 1, [&](int64_t, int64_t) {
+            std::lock_guard<std::mutex> lk(mu);
+            ran.push_back(std::this_thread::get_id());
+        });
+    });
+    other.join();
+    ASSERT_EQ(ran.size(), 1u);
+    EXPECT_EQ(ran[0], caller);
 }
 
 TEST(ThreadPool, SingleThreadPoolAlwaysInline)
