@@ -7,6 +7,7 @@
 
 #include "common/stats.hh"
 #include "quant/rps_engine.hh"
+#include "tensor/ops.hh"
 
 namespace twoinone {
 
@@ -25,59 +26,23 @@ forEachBatch(const Dataset &data, int batch_size, Fn &&fn)
     }
 }
 
-/**
- * RAII: route the network's inference entry points through compiled
- * plans for the duration of an evaluation (predict and
- * predictQuantized execute the flat allocation-free step list instead
- * of the per-layer loops — bit-identical outputs), restoring the
- * previous routing state — including a caller-installed plan shape —
- * on scope exit. Attack generation inside the scope is unaffected:
- * forward()/backward() keep the legacy loops. A no-op on an empty
- * dataset (there is nothing to size a plan for).
- */
-class ScopedPlanExecution
-{
-  public:
-    ScopedPlanExecution(Network &net, const Dataset &data,
-                        int batch_size)
-        : net_(net), touched_(data.size() > 0),
-          wasEnabled_(net.planExecutionEnabled()),
-          prevShape_(net.planMaxShape())
-    {
-        if (!touched_)
-            return;
-        std::vector<int> shape = data.images.shape();
-        shape[0] = std::min(batch_size, data.size());
-        net_.enablePlanExecution(shape);
-    }
-
-    ~ScopedPlanExecution()
-    {
-        if (!touched_)
-            return;
-        if (wasEnabled_)
-            net_.enablePlanExecution(prevShape_);
-        else
-            net_.disablePlanExecution();
-    }
-
-  private:
-    Network &net_;
-    bool touched_;
-    bool wasEnabled_;
-    std::vector<int> prevShape_;
-};
-
 } // namespace
 
 double
 naturalAccuracy(Network &net, const Dataset &data, int batch_size)
 {
-    ScopedPlanExecution plans(net, data, batch_size);
+    // One float plan sized by the first batch, the largest: the
+    // partial last batch runs on it too.
+    std::unique_ptr<serve::ExecutionPlan> plan;
     Accuracy acc;
     forEachBatch(data, batch_size,
                  [&](const Tensor &x, const std::vector<int> &y) {
-                     std::vector<int> pred = net.predict(x);
+                     if (!plan)
+                         plan = net.compile(net.precisionSet(),
+                                            serve::PlanMode::Float,
+                                            x.shape());
+                     std::vector<int> pred =
+                         ops::argmaxRows(plan->run(x));
                      for (size_t i = 0; i < y.size(); ++i)
                          acc.add(pred[i] == y[i]);
                  });
@@ -107,9 +72,9 @@ double
 rpsRobustAccuracy(Session &s, Attack &attack, const Dataset &data,
                   Rng &rng, int batch_size)
 {
-    // Inference predictions run plan-routed through the session; the
-    // attack's forward/backward passes keep the legacy loops they
-    // need (Session only reroutes the inference entry points).
+    // Predictions run on the session's compiled plan; the attack's
+    // forward/backward passes run the network's layer loops, which
+    // keep the backward caches a plan does not populate.
     Accuracy acc;
     const PrecisionSet &set = s.candidates();
     forEachBatch(data, batch_size,
@@ -144,29 +109,13 @@ rpsNaturalAccuracy(Session &s, const Dataset &data, Rng &rng,
     return acc.percent();
 }
 
-double
-rpsNaturalAccuracyQuantized(Session &s, const Dataset &data, Rng &rng,
-                            int batch_size)
-{
-    Accuracy acc;
-    forEachBatch(data, batch_size,
-                 [&](const Tensor &x, const std::vector<int> &y) {
-                     s.switchRandom(rng);
-                     std::vector<int> pred = s.predictQuantized(x);
-                     for (size_t i = 0; i < y.size(); ++i)
-                         acc.add(pred[i] == y[i]);
-                 });
-    return acc.percent();
-}
-
 namespace {
 
 /**
  * The shared shape of the Network-level conveniences: wire a
- * temporary attached Session (engine cache on @p set, plan-routed
- * predictions), run @p fn against it, then restore the network's
- * precision; the Session destructor restores the plan routing. The
- * old five-step wiring, now an internal detail.
+ * temporary attached Session (engine cache on @p set, predictions on
+ * the session's plan), run @p fn against it, then restore the
+ * network's precision.
  */
 template <typename Fn>
 double
@@ -202,16 +151,6 @@ rpsNaturalAccuracy(Network &net, const Dataset &data,
 {
     return withSession(net, set, [&](Session &s) {
         return rpsNaturalAccuracy(s, data, rng, batch_size);
-    });
-}
-
-double
-rpsNaturalAccuracyQuantized(Network &net, const Dataset &data,
-                            const PrecisionSet &set, Rng &rng,
-                            int batch_size)
-{
-    return withSession(net, set, [&](Session &s) {
-        return rpsNaturalAccuracyQuantized(s, data, rng, batch_size);
     });
 }
 

@@ -16,7 +16,8 @@
 namespace twoinone {
 
 /**
- * Natural (clean) accuracy of the network at its active precision.
+ * Natural (clean) accuracy of the network at its active precision,
+ * predicted on one float plan compiled for the first batch.
  *
  * @param net Network under test.
  * @param data Evaluation dataset.
@@ -55,7 +56,7 @@ double robustAccuracy(Network &net, Attack &attack, const Dataset &data,
  * uniformly from the session's candidate set — the paper's default
  * threat model where the adversary knows and uses the same candidate
  * set (Sec. 4.1.1). Precision switches run through the session's
- * engine cache; predictions run plan-routed.
+ * engine cache; predictions run on the session's plan.
  *
  * @param s Deployed model under test.
  * @param attack Attack to run.
@@ -69,8 +70,8 @@ double rpsRobustAccuracy(Session &s, Attack &attack, const Dataset &data,
 
 /**
  * Network-level convenience: wires a temporary Session (engine cache
- * on @p set, plan-routed predictions) around @p net, runs the Session
- * overload, and restores the network's precision and plan routing.
+ * on @p set) around @p net, runs the Session overload, and restores
+ * the network's precision.
  */
 double rpsRobustAccuracy(Network &net, Attack &attack, const Dataset &data,
                          const PrecisionSet &set, Rng &rng,
@@ -87,22 +88,6 @@ double rpsNaturalAccuracy(Session &s, const Dataset &data, Rng &rng,
 double rpsNaturalAccuracy(Network &net, const Dataset &data,
                           const PrecisionSet &set, Rng &rng,
                           int batch_size = 16);
-
-/**
- * RPS natural accuracy served from the integer datapath
- * (Network::forwardQuantized through the engine's cached int codes) —
- * what the bit-serial accelerator would actually compute. Matches
- * rpsNaturalAccuracy up to the documented int-vs-float rounding
- * tolerance; calibrate the session first for the quantization-free
- * static-scale path.
- */
-double rpsNaturalAccuracyQuantized(Session &s, const Dataset &data,
-                                   Rng &rng, int batch_size = 16);
-
-/** Network-level convenience (see rpsRobustAccuracy). */
-double rpsNaturalAccuracyQuantized(Network &net, const Dataset &data,
-                                   const PrecisionSet &set, Rng &rng,
-                                   int batch_size = 16);
 
 /**
  * The Fig. 1 transferability matrix.

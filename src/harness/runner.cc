@@ -24,6 +24,7 @@
 #include "nn/model_zoo.hh"
 #include "quant/rps_engine.hh"
 #include "tensor/gemm.hh"
+#include "tensor/ops.hh"
 
 namespace twoinone {
 namespace harness {
@@ -71,26 +72,6 @@ buildAttack(const AttackSpec &as, const PrecisionSet &candidates)
     if (as.kind == "fgsm")
         return std::make_unique<FgsmAttack>(cfg);
     return std::make_unique<PgdAttack>(cfg);
-}
-
-/** argmax per logit row. */
-std::vector<int>
-argmaxRows(const Tensor &logits)
-{
-    int n = logits.dim(0);
-    int stride = n > 0 ? static_cast<int>(logits.size()) / n : 0;
-    std::vector<int> out(static_cast<size_t>(n));
-    const float *p = logits.data();
-    for (int i = 0; i < n; ++i) {
-        const float *row = p + static_cast<size_t>(i) * stride;
-        int best = 0;
-        for (int j = 1; j < stride; ++j) {
-            if (row[j] > row[best])
-                best = j;
-        }
-        out[static_cast<size_t>(i)] = best;
-    }
-    return out;
 }
 
 /** Copy rows [start, start+len) of a [N, ...] tensor. */
@@ -634,7 +615,7 @@ ScenarioRunner::steadyPoint(int phase, int point, int nRequests,
     for (size_t r = 0; r < ys.size(); ++r) {
         if (ys[r].empty())
             continue; // shed
-        std::vector<int> pred = argmaxRows(ys[r]);
+        std::vector<int> pred = ops::argmaxRows(ys[r]);
         for (size_t i = 0; i < pred.size(); ++i) {
             ++natTotal_;
             if (pred[i] == labels[r][i])
@@ -693,7 +674,7 @@ ScenarioRunner::adversarialPoint(int phase, int point,
         const Tensor &logits = ys[static_cast<size_t>(r)];
         if (logits.empty())
             continue; // shed
-        std::vector<int> pred = argmaxRows(logits);
+        std::vector<int> pred = ops::argmaxRows(logits);
         for (size_t i = 0; i < pred.size(); ++i) {
             ++robTotal_;
             size_t idx =

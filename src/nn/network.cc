@@ -39,8 +39,6 @@ Tensor
 Network::forwardQuantized(const Tensor &x)
 {
     TWOINONE_ASSERT(!layers_.empty(), "forward through empty network");
-    if (serve::ExecutionPlan *p = planFor(serve::PlanMode::Quantized, x))
-        return p->run(x);
     QuantAct h(x);
     // Quantize the network input so the stem conv joins the integer
     // path (at full precision the raw input flows through unchanged).
@@ -168,33 +166,10 @@ Network::setPrecision(int bits)
     inputQuant_->setQuantState(qs_in);
 }
 
-namespace {
-
-std::vector<int>
-argmaxRows(const Tensor &logits)
-{
-    std::vector<int> preds(static_cast<size_t>(logits.dim(0)));
-    for (int i = 0; i < logits.dim(0); ++i)
-        preds[static_cast<size_t>(i)] = ops::argmaxRow(logits, i);
-    return preds;
-}
-
-} // namespace
-
 std::vector<int>
 Network::predict(const Tensor &x)
 {
-    if (serve::ExecutionPlan *p = planFor(serve::PlanMode::Float, x))
-        return argmaxRows(p->run(x));
-    return argmaxRows(forward(x, /*train=*/false));
-}
-
-std::vector<int>
-Network::predictQuantized(const Tensor &x)
-{
-    if (serve::ExecutionPlan *p = planFor(serve::PlanMode::Quantized, x))
-        return argmaxRows(p->run(x));
-    return argmaxRows(forwardQuantized(x));
+    return ops::argmaxRows(forward(x, /*train=*/false));
 }
 
 std::unique_ptr<serve::ExecutionPlan>
@@ -203,47 +178,6 @@ Network::compile(const PrecisionSet &precisions, serve::PlanMode mode,
 {
     return serve::ExecutionPlan::compile(*this, precisions, mode,
                                          max_input_shape, warm_all);
-}
-
-void
-Network::enablePlanExecution(const std::vector<int> &max_input_shape)
-{
-    TWOINONE_ASSERT(!max_input_shape.empty() && max_input_shape[0] > 0,
-                    "plan execution needs a max input shape");
-    if (planExec_ && planMaxShape_ == max_input_shape)
-        return;
-    planMaxShape_ = max_input_shape;
-    planFloat_.reset();
-    planQuant_.reset();
-    planExec_ = true;
-}
-
-void
-Network::disablePlanExecution()
-{
-    planExec_ = false;
-    planFloat_.reset();
-    planQuant_.reset();
-    planMaxShape_.clear();
-}
-
-serve::ExecutionPlan *
-Network::planFor(serve::PlanMode mode, const Tensor &x)
-{
-    if (!planExec_)
-        return nullptr;
-    if (x.ndim() != static_cast<int>(planMaxShape_.size()) ||
-        x.dim(0) > planMaxShape_[0])
-        return nullptr;
-    for (size_t i = 1; i < planMaxShape_.size(); ++i) {
-        if (x.dim(static_cast<int>(i)) != planMaxShape_[i])
-            return nullptr;
-    }
-    std::unique_ptr<serve::ExecutionPlan> &slot =
-        mode == serve::PlanMode::Float ? planFloat_ : planQuant_;
-    if (!slot)
-        slot = compile(precisionSet_, mode, planMaxShape_);
-    return slot.get();
 }
 
 } // namespace twoinone

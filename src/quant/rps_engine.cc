@@ -273,13 +273,6 @@ RpsEngine::predictAt(int bits, const Tensor &x)
     return net_.predict(x);
 }
 
-std::vector<int>
-RpsEngine::predictQuantizedAt(int bits, const Tensor &x)
-{
-    setPrecision(bits);
-    return net_.predictQuantized(x);
-}
-
 Tensor
 RpsEngine::forwardRandom(const Tensor &x, Rng &rng, int *bits_out)
 {

@@ -236,9 +236,6 @@ class RpsEngine
     /** Switch to @p bits and return per-row argmax predictions. */
     std::vector<int> predictAt(int bits, const Tensor &x);
 
-    /** predictAt on the integer datapath. */
-    std::vector<int> predictQuantizedAt(int bits, const Tensor &x);
-
     /** Draw a candidate precision uniformly (Alg. 1 line 16). */
     int samplePrecision(Rng &rng) const { return set().sample(rng); }
 

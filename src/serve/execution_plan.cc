@@ -187,23 +187,6 @@ ExecutionPlan::runStaged(const float *const *rows, int nrows,
     return run(stage_);
 }
 
-const Tensor &
-ExecutionPlan::runRows(const Tensor &batch, int row_lo, int row_hi)
-{
-    TWOINONE_ASSERT(batch.ndim() >= 1 && row_lo >= 0 &&
-                        row_lo < row_hi && row_hi <= batch.dim(0),
-                    "plan row range [", row_lo, ",", row_hi,
-                    ") out of batch ", batch.dim(0));
-    std::vector<int> shape = batch.shape();
-    shape[0] = row_hi - row_lo;
-    stage_.ensure(shape);
-    size_t stride = batch.size() / static_cast<size_t>(batch.dim(0));
-    std::copy(batch.data() + static_cast<size_t>(row_lo) * stride,
-              batch.data() + static_cast<size_t>(row_hi) * stride,
-              stage_.data());
-    return run(stage_);
-}
-
 std::vector<std::pair<std::string, double>>
 ExecutionPlan::profileSteps(const Tensor &x, int reps)
 {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Compiled execution plans: the serving datapath behind all of the
- * network's inference entry points.
+ * Compiled execution plans: the inference datapath that serving
+ * (BatchExecutor), Session's predict / forwardQuantized and
+ * naturalAccuracy run.
  *
  * A Network is compiled once per (mode, max input shape) into an
  * ExecutionPlan — a flat list of steps (input quantize, int im2col +
@@ -13,15 +14,15 @@
  * reused across forwards; Tensor::allocationCount() pins the contract
  * in tests.
  *
- * Every step runs the exact same kernels as the legacy per-layer
+ * Every step runs the exact same kernels as the network's per-layer
  * loops (Network::forward at eval, Network::forwardQuantized) — the
  * layers' *Into refactors are shared between both paths — so a plan
- * forward is bit-identical to the legacy forward at every candidate
- * precision, cached or uncached. Precision state is read live from
+ * forward is bit-identical to those loops, the reference, at every
+ * candidate precision, cached or uncached. Precision state is read live from
  * the layers at execution time: RpsEngine::setPrecision() between
  * runs switches the plan with no recompilation.
  *
- * A plan instance is not thread-safe (one arena); the serving runtime
+ * A plan instance is not thread-safe (one arena); BatchExecutor
  * (serve/runtime.hh) compiles one replica per worker and runs them
  * concurrently over read-only layer state.
  */
@@ -176,10 +177,6 @@ class ExecutionPlan
      */
     const Tensor &run(const Tensor &x);
 
-    /** Execute on rows [row_lo, row_hi) of @p batch (staged into the
-     * arena) — the micro-batch entry point over one packed tensor. */
-    const Tensor &runRows(const Tensor &batch, int row_lo, int row_hi);
-
     /**
      * Execute on @p nrows rows gathered straight from caller-owned
      * row pointers (each @p row_elems floats) — the serving runtime's
@@ -191,7 +188,6 @@ class ExecutionPlan
 
     PlanMode mode() const { return mode_; }
     int maxBatch() const { return maxShape_[0]; }
-    const std::vector<int> &maxInputShape() const { return maxShape_; }
     const std::vector<int> &outputShape() const { return outShape_; }
     size_t numSteps() const { return steps_.size(); }
 
@@ -238,7 +234,7 @@ class ExecutionPlan
     /** Deques keep element addresses stable while emitters append. */
     std::deque<Value> values_;
     std::deque<LayerScratch> scratch_;
-    Tensor stage_;   ///< runRows staging buffer
+    Tensor stage_;   ///< runStaged staging buffer
     int inputId_ = 0;
     int outputId_ = 0;
     const Tensor *input_ = nullptr;

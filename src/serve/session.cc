@@ -6,11 +6,11 @@
 #include "serve/session.hh"
 
 #include <chrono>
-#include <new>
 #include <thread>
 
 #include "io/checkpoint.hh"
 #include "quant/calibration.hh"
+#include "tensor/ops.hh"
 #include "tune/autotuner.hh"
 
 namespace twoinone {
@@ -56,78 +56,38 @@ loadWithRetries(const SessionConfig &cfg, Fn &&fn) -> decltype(fn())
 Session::Session(std::unique_ptr<Network> owned, Network *net,
                  SessionConfig cfg, std::unique_ptr<RpsEngine> engine,
                  RpsEngine *shared_engine)
-    : cfg_(std::move(cfg)), owned_(std::move(owned)), net_(net),
-      engine_(std::move(engine)), extEngine_(shared_engine)
+    : cfg_(std::move(cfg)), owned_(std::make_unique<Owned>()),
+      net_(net), extEngine_(shared_engine)
 {
     TWOINONE_ASSERT(net_ != nullptr, "session needs a network");
     TWOINONE_ASSERT(!net_->precisionSet().empty(),
                     "session needs an RPS-capable network "
                     "(non-empty precision set)");
-    TWOINONE_ASSERT(extEngine_ == nullptr || engine_ == nullptr,
+    TWOINONE_ASSERT(extEngine_ == nullptr || engine == nullptr,
                     "a session holds one engine: owned or shared");
-    if (!engine_ && extEngine_ == nullptr)
-        engine_ = std::make_unique<RpsEngine>(*net_,
-                                              engineSet(cfg_, *net_));
+    owned_->net = std::move(owned);
+    if (!engine && extEngine_ == nullptr)
+        engine = std::make_unique<RpsEngine>(*net_,
+                                             engineSet(cfg_, *net_));
+    owned_->engine = std::move(engine);
     // Byte budget / pins apply to the session-owned engine on every
     // construction path (a shared engine's policy belongs to its
     // owner). A pinned precision outside the cache set is caller data
     // gone wrong — reject it here instead of panicking in the engine.
-    if (engine_ &&
-        (cfg_.cacheBudgetBytes > 0 || !cfg_.pinnedBits.empty())) {
+    RpsEngine *own = owned_->engine.get();
+    if (own && (cfg_.cacheBudgetBytes > 0 || !cfg_.pinnedBits.empty())) {
         for (int b : cfg_.pinnedBits) {
-            if (!engine_->set().contains(b))
+            if (!own->set().contains(b))
                 throw serve::ServeError(formatMessage(
                     "pinned precision ", b,
                     " is not in the engine cache set ",
-                    engine_->set().name()));
+                    own->set().name()));
         }
         EngineCacheConfig ec;
         ec.budgetBytes = cfg_.cacheBudgetBytes;
         ec.pinnedBits = cfg_.pinnedBits;
-        engine_->setCacheConfig(std::move(ec));
+        own->setCacheConfig(std::move(ec));
     }
-    if (owned_ == nullptr) {
-        restorePlanState_ = true;
-        prevPlanExec_ = net_->planExecutionEnabled();
-        prevPlanShape_ = net_->planMaxShape();
-    }
-}
-
-Session::~Session()
-{
-    if (net_ != nullptr && restorePlanState_) {
-        // Engine caches detach through engine_'s destructor; routing
-        // goes back to whatever the owner had configured.
-        if (prevPlanExec_)
-            net_->enablePlanExecution(prevPlanShape_);
-        else
-            net_->disablePlanExecution();
-    }
-}
-
-Session::Session(Session &&other) noexcept
-    : cfg_(std::move(other.cfg_)), owned_(std::move(other.owned_)),
-      net_(other.net_), engine_(std::move(other.engine_)),
-      extEngine_(other.extEngine_),
-      tuning_(std::move(other.tuning_)),
-      restorePlanState_(other.restorePlanState_),
-      prevPlanExec_(other.prevPlanExec_),
-      prevPlanShape_(std::move(other.prevPlanShape_))
-{
-    // The moved-from session must not restore the attached network's
-    // routing when it dies — that duty moved here.
-    other.net_ = nullptr;
-    other.restorePlanState_ = false;
-}
-
-Session &
-Session::operator=(Session &&other) noexcept
-{
-    if (this != &other) {
-        this->~Session();
-        new (this) Session(std::move(other));
-    }
-    return *this;
 }
 
 Session
@@ -251,40 +211,46 @@ Session::activePrecision() const
     return eng().activePrecision();
 }
 
-void
-Session::ensurePlans(const Tensor &x)
+serve::ExecutionPlan *
+Session::planFor(serve::PlanMode mode, const Tensor &x)
 {
-    if (net_->planExecutionEnabled())
-        return;
-    net_->enablePlanExecution(x.shape());
+    if (planShape_.empty())
+        planShape_ = x.shape();
+    if (x.ndim() != static_cast<int>(planShape_.size()) ||
+        x.dim(0) > planShape_[0])
+        return nullptr;
+    for (size_t i = 1; i < planShape_.size(); ++i) {
+        if (x.dim(static_cast<int>(i)) != planShape_[i])
+            return nullptr;
+    }
+    std::unique_ptr<serve::ExecutionPlan> &slot =
+        mode == serve::PlanMode::Float ? owned_->planFloat
+                                       : owned_->planQuant;
+    if (!slot)
+        slot = net_->compile(net_->precisionSet(), mode, planShape_);
+    return slot.get();
 }
 
 Tensor
 Session::forward(const Tensor &x)
 {
-    ensurePlans(x);
     return net_->forward(x, /*train=*/false);
 }
 
 Tensor
 Session::forwardQuantized(const Tensor &x)
 {
-    ensurePlans(x);
+    if (serve::ExecutionPlan *p = planFor(serve::PlanMode::Quantized, x))
+        return p->run(x);
     return net_->forwardQuantized(x);
 }
 
 std::vector<int>
 Session::predict(const Tensor &x)
 {
-    ensurePlans(x);
+    if (serve::ExecutionPlan *p = planFor(serve::PlanMode::Float, x))
+        return ops::argmaxRows(p->run(x));
     return net_->predict(x);
-}
-
-std::vector<int>
-Session::predictQuantized(const Tensor &x)
-{
-    ensurePlans(x);
-    return net_->predictQuantized(x);
 }
 
 void

@@ -4,15 +4,16 @@
  *
  * Before sessions, standing a trained RPS model up for serving took a
  * five-step caller ritual: construct the model, attach an RpsEngine,
- * run the Calibrator, compile plans / enablePlanExecution, build the
- * serving executor. A Session deploys the model behind one object,
- * and serve::Server (serve/server.hh) serves it as a tenant:
+ * run the Calibrator, compile plans, build the serving executor. A
+ * Session deploys the model behind one object (it compiles and owns
+ * its inference plans), and serve::Server (serve/server.hh) serves it
+ * as a tenant:
  *
  *   auto s = Session::fromCheckpoint("model.ckpt");
  *   serve::Server server;
  *   int t = server.addTenant(s, {3, 32, 32});
  *   server.submit(t, x).get();    // batched RPS serving
- *   s.predict(x);                 // plan-routed predictions
+ *   s.predict(x);                 // predictions on the session's plan
  *   s.switchPrecision(8);         // explicit precision control
  *
  * Construction paths:
@@ -23,8 +24,7 @@
  *  - fromNetwork(net): take ownership of an in-process model (e.g.
  *    fresh out of the Trainer) and wire the same stack.
  *  - attach(net): non-owning variant for callers that keep driving
- *    the network directly (the evaluation harness); the network's
- *    plan-execution routing is restored when the session dies.
+ *    the network directly (the evaluation harness).
  *
  * The underlying pieces stay reachable (network()/engine()) — the
  * facade narrows the default path, it does not wall off the internals.
@@ -138,10 +138,9 @@ class Session
     static Session fromNetwork(Network net,
                                SessionConfig cfg = SessionConfig());
 
-    /** Wire the serving stack around a caller-owned network. The
-     * network's plan-execution routing is restored on session
-     * destruction; its active precision is left wherever the last
-     * switch put it. */
+    /** Wire the serving stack around a caller-owned network, which
+     * must outlive the session. The network's active precision is
+     * left wherever the last switch put it. */
     static Session attach(Network &net,
                           SessionConfig cfg = SessionConfig());
 
@@ -154,9 +153,8 @@ class Session
     static Session attach(Network &net, RpsEngine &engine,
                           SessionConfig cfg = SessionConfig());
 
-    ~Session();
-    Session(Session &&) noexcept;
-    Session &operator=(Session &&) noexcept;
+    Session(Session &&) = default;
+    Session &operator=(Session &&) = default;
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
@@ -176,14 +174,20 @@ class Session
     const PrecisionSet &candidates() const { return eng().set(); }
     /** @} */
 
-    /** @name Direct inference (active precision, plan-routed) */
+    /** @name Direct inference (active precision)
+     * predict() and forwardQuantized() run the session's own compiled
+     * plans (one float, one quantized): each is compiled with eager
+     * warm-up over the network's bound set on its first use, sized
+     * for the input shape of the first predict() or
+     * forwardQuantized() call. A batch that does not fit that shape
+     * runs the network's per-layer loop, bit-identically. */
     /** @{ */
-    /** Logits on the float fake-quant datapath. */
+    /** Logits on the float fake-quant datapath (the layer loop). */
     Tensor forward(const Tensor &x);
     /** Logits on the integer-code datapath. */
     Tensor forwardQuantized(const Tensor &x);
+    /** Predicted class per row, on the float datapath. */
     std::vector<int> predict(const Tensor &x);
-    std::vector<int> predictQuantized(const Tensor &x);
     /** @} */
 
     /** @name Calibration & persistence */
@@ -232,27 +236,37 @@ class Session
      * attached with one, else the session-owned engine. */
     RpsEngine &eng() const
     {
-        return extEngine_ != nullptr ? *extEngine_ : *engine_;
+        return extEngine_ != nullptr ? *extEngine_ : *owned_->engine;
     }
 
-    /** Route the network's entry points through plans sized for
-     * @p x (first call only; later shapes fall back gracefully). */
-    void ensurePlans(const Tensor &x);
+    /** This session's plan for @p mode, compiled on first use;
+     * nullptr when @p x does not fit the plan shape. */
+    serve::ExecutionPlan *planFor(serve::PlanMode mode, const Tensor &x);
+
+    /** What the session owns: the network (fromCheckpoint /
+     * fromNetwork), the engine (unless shared) and the plans. One
+     * heap block, so the defaulted move assignment frees a replaced
+     * session's state as a unit, in reverse member order: the plans
+     * and the engine before the network they point into. */
+    struct Owned
+    {
+        std::unique_ptr<Network> net;
+        std::unique_ptr<RpsEngine> engine;
+        std::unique_ptr<serve::ExecutionPlan> planFloat;
+        std::unique_ptr<serve::ExecutionPlan> planQuant;
+    };
 
     SessionConfig cfg_;
-    std::unique_ptr<Network> owned_; ///< null for attach()
+    std::unique_ptr<Owned> owned_;
     Network *net_ = nullptr;
-    std::unique_ptr<RpsEngine> engine_;
-    /** Non-owning shared engine (attach(net, engine)); when set,
-     * engine_ stays null. */
+    /** Non-owning shared engine (attach(net, engine)); when set, the
+     * session owns no engine. */
     RpsEngine *extEngine_ = nullptr;
     /** Tuning artifact carried by the loaded checkpoint (if any). */
     std::unique_ptr<tune::TuningArtifact> tuning_;
-
-    /** attach(): the network's plan-routing state to restore. */
-    bool restorePlanState_ = false;
-    bool prevPlanExec_ = false;
-    std::vector<int> prevPlanShape_;
+    /** The input shape the plans are sized for (empty until the first
+     * predict() or forwardQuantized()). */
+    std::vector<int> planShape_;
 };
 
 } // namespace twoinone

@@ -275,21 +275,22 @@ maxVal(const Tensor &a)
     return maxReduce(a, [](float v) { return v; });
 }
 
-int
-argmaxRow(const Tensor &logits, int row)
+std::vector<int>
+argmaxRows(const Tensor &logits)
 {
-    TWOINONE_ASSERT(logits.ndim() == 2, "argmaxRow expects rank-2 logits");
+    TWOINONE_ASSERT(logits.ndim() == 2, "argmaxRows expects rank-2 logits");
     int cols = logits.dim(1);
-    int best = 0;
-    float best_v = logits.at2(row, 0);
-    for (int j = 1; j < cols; ++j) {
-        float v = logits.at2(row, j);
-        if (v > best_v) {
-            best_v = v;
-            best = j;
+    std::vector<int> out(static_cast<size_t>(logits.dim(0)));
+    for (int i = 0; i < logits.dim(0); ++i) {
+        const float *row = logits.data() + static_cast<size_t>(i) * cols;
+        int best = 0;
+        for (int j = 1; j < cols; ++j) {
+            if (row[j] > row[best])
+                best = j;
         }
+        out[static_cast<size_t>(i)] = best;
     }
-    return best;
+    return out;
 }
 
 float

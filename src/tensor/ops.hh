@@ -83,8 +83,9 @@ float maxAbs(const Tensor &a);
 /** Maximum of max(a[i], 0) — the unsigned-quantizer range; same
  * chunked-parallel reduction as maxAbs. */
 float maxVal(const Tensor &a);
-/** Index of the maximum element of a rank-1 tensor or a row. */
-int argmaxRow(const Tensor &logits, int row);
+/** Per row of rank-2 @p logits, the column of its first strict
+ * maximum (the predicted class). */
+std::vector<int> argmaxRows(const Tensor &logits);
 /** L-infinity distance between two same-shape tensors. */
 float linfDistance(const Tensor &a, const Tensor &b);
 /** L2 norm of all elements. */

@@ -62,6 +62,31 @@ TEST_F(AdversarialFixture, ModelLearnedTheTask)
     EXPECT_GT(acc, 60.0);
 }
 
+/** naturalAccuracy's plan, sized by the first batch, also serves the
+ * partial last one: its accuracy equals the one counted from the
+ * network's per-layer predict over the same batches. */
+TEST_F(AdversarialFixture, NaturalAccuracyMatchesNetworkPredict)
+{
+    const Dataset &test = data_.test;
+    const int batch = 40;
+    ASSERT_NE(test.size() % batch, 0) << "the last batch must be partial";
+    for (int bits : {0, 4, 8}) {
+        net_->setPrecision(bits);
+        int correct = 0;
+        for (int start = 0; start < test.size(); start += batch) {
+            Dataset b =
+                test.batch(start, std::min(batch, test.size() - start));
+            std::vector<int> pred = net_->predict(b.images);
+            for (size_t i = 0; i < pred.size(); ++i)
+                correct += pred[i] == b.labels[i] ? 1 : 0;
+        }
+        EXPECT_DOUBLE_EQ(naturalAccuracy(*net_, test, batch),
+                         100.0 * correct / test.size())
+            << "bits=" << bits;
+    }
+    net_->setPrecision(0);
+}
+
 TEST_F(AdversarialFixture, PgdStaysInEpsBall)
 {
     AttackConfig cfg = AttackConfig::fromEps255(8.0f, 2.0f, 10);

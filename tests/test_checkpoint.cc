@@ -120,9 +120,10 @@ TEST(Checkpoint, SaveLoadBitIdenticalAtEveryCandidate)
         Tensor f_ref = engine.forwardAt(bits, x);
         Tensor q_ref = engine.forwardQuantizedAt(bits, x);
         s.switchPrecision(bits);
-        // Plan-routed session forwards against the original's legacy
-        // loops: bit-identity must hold across the process boundary
-        // AND the execution-path boundary.
+        // The session's forwards (forwardQuantized on its plan)
+        // against the original's layer loops: bit-identity must hold
+        // across the process boundary AND the execution-path
+        // boundary.
         expectBitIdentical(f_ref, s.forward(x), bits);
         expectBitIdentical(q_ref, s.forwardQuantized(x), bits);
     }
@@ -626,19 +627,40 @@ TEST(Session, FailedSwitchPrecisionKeepsPriorPrecisionServing)
     expectBitIdentical(y_ref, s.forward(x), bits);
 }
 
-/** attach() leaves the caller's network routing as it found it. */
-TEST(Session, AttachRestoresPlanRouting)
+/** A session's plans serve predict() and forwardQuantized()
+ * bit-identically to the network's per-layer loops at full precision
+ * and at every candidate: on the compiled shape, on a larger batch
+ * (which runs the loop), and after the session that compiled them
+ * moves — by construction and by assignment over a session whose
+ * owned network, engine and plans that assignment frees. */
+TEST(Session, PlanInferenceMatchesNetworkLoops)
 {
     Network net = makeTinyNet(49);
     Tensor x = makeInput(13);
-    ASSERT_FALSE(net.planExecutionEnabled());
-    {
-        Session s = Session::attach(net);
-        s.switchPrecision(8);
-        s.predict(x);
-        EXPECT_TRUE(net.planExecutionEnabled());
-    }
-    EXPECT_FALSE(net.planExecutionEnabled());
+    Tensor big = makeInput(14, 8);
+    Session s = Session::attach(net);
+    std::vector<int> all = s.candidates().bits();
+    all.insert(all.begin(), 0);
+
+    auto expectLoopBits = [&](Session &sess, const Tensor &in) {
+        for (int bits : all) {
+            sess.switchPrecision(bits);
+            EXPECT_EQ(sess.predict(in), net.predict(in)) << bits;
+            expectBitIdentical(net.forwardQuantized(in),
+                               sess.forwardQuantized(in), bits);
+        }
+    };
+    expectLoopBits(s, x); // the first call sizes the plans for x
+    expectLoopBits(s, big);
+
+    Session moved = std::move(s);
+    expectLoopBits(moved, x);
+
+    Session assigned = Session::fromNetwork(makeTinyNet(50));
+    assigned.predict(x);
+    assigned.forwardQuantized(x);
+    assigned = std::move(moved);
+    expectLoopBits(assigned, x);
 }
 
 /** Deterministic training fixture shared by the momentum round-trip

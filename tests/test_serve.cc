@@ -190,9 +190,6 @@ TEST(ExecutionPlan, ArenaReuseAcrossBatchSizes)
     expectBitIdentical(ref4, plan->run(x4), 8);
     expectBitIdentical(ref2, plan->run(x2), 8);
     EXPECT_EQ(Tensor::allocationCount(), before);
-
-    // runRows serves row windows of a larger batch bit-identically.
-    expectBitIdentical(ref2, plan->runRows(x4, 0, 2), 8);
 }
 
 /** Serial and pooled executions of the same plan agree bit-for-bit
@@ -214,33 +211,6 @@ TEST(ExecutionPlan, DeterministicAcrossThreadCounts)
         }
         expectBitIdentical(serial, plan->run(x), bits);
     }
-}
-
-/** Network entry points route through the internal plans when
- * enabled, with identical predictions either way. */
-TEST(ExecutionPlan, EntryPointsRouteThroughPlans)
-{
-    Network net = makeTinyNet(48);
-    Tensor x = makeInput(13);
-    RpsEngine engine(net);
-    engine.setPrecision(6);
-
-    std::vector<int> legacy_f = net.predict(x);
-    std::vector<int> legacy_q = net.predictQuantized(x);
-    Tensor legacy_fq = net.forwardQuantized(x);
-
-    net.enablePlanExecution(x.shape());
-    EXPECT_TRUE(net.planExecutionEnabled());
-    EXPECT_EQ(net.predict(x), legacy_f);
-    EXPECT_EQ(net.predictQuantized(x), legacy_q);
-    expectBitIdentical(legacy_fq, net.forwardQuantized(x), 6);
-
-    // Inputs outside the compiled shape fall back to the legacy loop.
-    Tensor big = makeInput(14, 8);
-    std::vector<int> pred_big = net.predict(big);
-    net.disablePlanExecution();
-    EXPECT_FALSE(net.planExecutionEnabled());
-    EXPECT_EQ(net.predict(big), pred_big);
 }
 
 /** im2col gather tables are geometry-pure and come from a shared

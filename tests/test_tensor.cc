@@ -189,13 +189,15 @@ TEST(Ops, Reductions)
 
 TEST(Ops, ArgmaxRow)
 {
-    Tensor logits({2, 3});
+    Tensor logits({3, 3});
     logits.at2(0, 0) = 0.1f; logits.at2(0, 1) = 0.9f;
     logits.at2(0, 2) = 0.3f;
     logits.at2(1, 0) = 2.0f; logits.at2(1, 1) = -1.0f;
     logits.at2(1, 2) = 1.0f;
-    EXPECT_EQ(ops::argmaxRow(logits, 0), 1);
-    EXPECT_EQ(ops::argmaxRow(logits, 1), 0);
+    // A tie picks the first maximum.
+    logits.at2(2, 0) = 0.2f; logits.at2(2, 1) = 0.7f;
+    logits.at2(2, 2) = 0.7f;
+    EXPECT_EQ(ops::argmaxRows(logits), (std::vector<int>{1, 0, 1}));
 }
 
 TEST(Ops, LinfDistance)
