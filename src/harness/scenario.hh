@@ -114,9 +114,9 @@ struct SessionSpec
 {
     int loadRetries = 1;
     int retryBackoffMs = 0;
-    /** Route artifact loads through the streaming SectionReader
-     * (lazy per-(layer, precision) hydration) instead of the eager
-     * whole-file reader. */
+    /** Load the artifact's engine cells lazily, per (layer,
+     * precision) on first install (SessionConfig::streamArtifact),
+     * instead of all at load. */
     bool stream = false;
     /** Engine-cache byte budget as a percentage of the fully
      * populated cache (0 = unlimited). Applied after deployment, so

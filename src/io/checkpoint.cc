@@ -184,8 +184,8 @@ requireSectionEnd(const io::Reader &r, const char *tag)
 }
 
 /** The directory entry at @p idx, which must carry @p tag (and match
- * @p a / @p b when >= 0) — the eager reader enforces the canonical
- * section order so a structurally scrambled artifact fails loudly. */
+ * @p a / @p b when >= 0) — open() enforces the canonical section
+ * order so a structurally scrambled artifact fails loudly. */
 const io::SectionInfo &
 expectSection(const io::SectionReader &sr, size_t idx, const char *tag,
               int32_t a = -1, int32_t b = -1)
@@ -200,6 +200,46 @@ expectSection(const io::SectionReader &sr, size_t idx, const char *tag,
             std::string(s.tag, 4) + " at index " + std::to_string(idx) +
             " (wanted " + std::string(tag, 4) + ")");
     return s;
+}
+
+/** The one cell decoder: read, verify and decode the (@p layer,
+ * @p bits) CELL — and the matching PACK when the artifact carries
+ * packs — into a cell the engine can import. Throws
+ * io::CheckpointError on a missing or malformed section. */
+RpsEngine::HydratedCell
+decodeCell(const io::SectionReader &sr, size_t layer, int bits)
+{
+    const int32_t l = static_cast<int32_t>(layer);
+    RpsEngine::HydratedCell out;
+    const io::SectionInfo *ci = sr.find(kTagCell, l, bits);
+    if (ci == nullptr)
+        throw io::CheckpointError("corrupt checkpoint: missing CELL "
+                                  "section");
+    std::vector<uint8_t> bytes = sr.read(*ci);
+    io::Reader r(bytes.data(), bytes.size());
+    out.codes = readCodes(r);
+    std::vector<char> mask_bytes = r.u8Vec();
+    requireSectionEnd(r, kTagCell);
+    if (out.codes.bits != bits)
+        throw io::CheckpointError("corrupt checkpoint: cell precision "
+                                  "does not match its directory key");
+    out.steMask =
+        unpackMask(mask_bytes, out.codes.shape, out.codes.size());
+    if ((sr.flags() & kFlagEnginePacks) == 0)
+        return out;
+    const io::SectionInfo *pi = sr.find(kTagPack, l, bits);
+    if (pi == nullptr)
+        throw io::CheckpointError("corrupt checkpoint: missing PACK "
+                                  "section");
+    std::vector<uint8_t> pbytes = sr.read(*pi);
+    io::Reader pr(pbytes.data(), pbytes.size());
+    out.packed = readPack(pr);
+    requireSectionEnd(pr, kTagPack);
+    if (out.packed.bits != bits)
+        throw io::CheckpointError("corrupt checkpoint: pack precision "
+                                  "does not match its directory key");
+    out.hasPack = true;
+    return out;
 }
 
 } // namespace
@@ -340,9 +380,11 @@ save(const std::string &path, Network &net, RpsEngine *engine,
 }
 
 Checkpoint
-Checkpoint::parseEager(const io::SectionReader &sr)
+Checkpoint::open(const std::string &path)
 {
     Checkpoint ckpt;
+    ckpt.reader_ = std::make_shared<const io::SectionReader>(path);
+    const io::SectionReader &sr = *ckpt.reader_;
     const uint32_t flags = sr.flags();
     size_t idx = 0;
 
@@ -438,15 +480,14 @@ Checkpoint::parseEager(const io::SectionReader &sr)
                 "precisions");
         // The directory must list exactly one CELL per (layer,
         // precision) in canonical order — validated structurally
-        // here (cheap), hydrated by the eager reader or the lazy
-        // engine later.
+        // here (cheap), decoded when the engine takes the cells.
         if (static_cast<size_t>(nlayers) >
             sr.sections().size() / ckpt.cacheBits_.size())
             throw io::CheckpointError(
                 "corrupt checkpoint: cache layer count " +
                 std::to_string(nlayers) +
                 " exceeds the section directory");
-        ckpt.cells_.resize(nlayers);
+        ckpt.cacheLayers_ = nlayers;
         for (uint32_t l = 0; l < nlayers; ++l)
             for (int b : ckpt.cacheBits_)
                 expectSection(sr, idx++, kTagCell,
@@ -484,52 +525,19 @@ Checkpoint::parseEager(const io::SectionReader &sr)
 Checkpoint
 Checkpoint::read(const std::string &path)
 {
-    io::SectionReader sr(path);
-    Checkpoint ckpt = parseEager(sr);
-
-    // Hydrate every cell (and pack) eagerly: after this walk every
-    // section checksum in the file has been verified — the eager
-    // reader keeps format 1's whole-file integrity guarantee.
-    const bool with_packs =
-        (sr.flags() & kFlagEnginePacks) != 0;
-    if (with_packs)
-        ckpt.packs_.resize(ckpt.cells_.size());
-    for (size_t l = 0; l < ckpt.cells_.size(); ++l) {
-        ckpt.cells_[l].reserve(ckpt.cacheBits_.size());
-        if (with_packs)
-            ckpt.packs_[l].reserve(ckpt.cacheBits_.size());
-        for (int b : ckpt.cacheBits_) {
-            const io::SectionInfo *si =
-                sr.find(kTagCell, static_cast<int32_t>(l), b);
-            // parseEager validated the directory structure, so the
-            // section is present.
-            std::vector<uint8_t> bytes = sr.read(*si);
-            io::Reader r(bytes.data(), bytes.size());
-            CacheCell cell;
-            cell.codes = readCodes(r);
-            cell.maskBytes = r.u8Vec();
-            requireSectionEnd(r, kTagCell);
-            if (cell.codes.bits != b)
-                throw io::CheckpointError(
-                    "corrupt checkpoint: cell precision does not "
-                    "match its directory key");
-            ckpt.cells_[l].push_back(std::move(cell));
-            if (with_packs) {
-                const io::SectionInfo *pi =
-                    sr.find(kTagPack, static_cast<int32_t>(l), b);
-                std::vector<uint8_t> pbytes = sr.read(*pi);
-                io::Reader pr(pbytes.data(), pbytes.size());
-                gemm::PackedIntWeights pack = readPack(pr);
-                requireSectionEnd(pr, kTagPack);
-                if (pack.bits != b)
-                    throw io::CheckpointError(
-                        "corrupt checkpoint: pack precision does not "
-                        "match its cache column");
-                ckpt.packs_[l].push_back(std::move(pack));
-            }
-        }
-    }
+    Checkpoint ckpt = open(path);
+    // One decode of every cell (and pack), in file order: after this
+    // walk every section checksum in the file has been verified.
+    for (size_t l = 0; l < ckpt.cacheLayers_; ++l)
+        for (int b : ckpt.cacheBits_)
+            decodeCell(*ckpt.reader_, l, b);
     return ckpt;
+}
+
+bool
+Checkpoint::hasEnginePacks() const
+{
+    return (reader_->flags() & kFlagEnginePacks) != 0;
 }
 
 Network
@@ -601,26 +609,10 @@ Checkpoint::restoreOptimizer(Sgd &opt, Network &net) const
 }
 
 std::unique_ptr<RpsEngine>
-Checkpoint::restoreEngine(Network &net) const &
-{
-    // consume = false leaves the cells untouched, so the cast does
-    // not break the const contract.
-    return const_cast<Checkpoint *>(this)->restoreEngineImpl(
-        net, /*consume=*/false);
-}
-
-std::unique_ptr<RpsEngine>
-Checkpoint::restoreEngine(Network &net) &&
-{
-    return restoreEngineImpl(net, /*consume=*/true);
-}
-
-std::unique_ptr<RpsEngine>
-Checkpoint::restoreEngineImpl(Network &net, bool consume)
+Checkpoint::restoreEngine(Network &net, bool lazy) const
 {
     if (!hasEngineCache())
         return nullptr;
-    PrecisionSet cache_set = precisionSetFromSpec(cacheBits_);
     for (int b : cacheBits_) {
         if (!net.precisionSet().contains(b))
             throw io::CheckpointError(
@@ -628,127 +620,38 @@ Checkpoint::restoreEngineImpl(Network &net, bool consume)
                 " is not in the network's bound set");
     }
     auto engine = std::make_unique<RpsEngine>(
-        net, std::move(cache_set), RpsEngine::DeferBuild{});
-    if (engine->numQuantLayers() != cells_.size())
+        net, precisionSetFromSpec(cacheBits_), RpsEngine::DeferBuild{});
+    if (engine->numQuantLayers() != cacheLayers_)
         throw io::CheckpointError(
-            "checkpoint cache covers " + std::to_string(cells_.size()) +
+            "checkpoint cache covers " + std::to_string(cacheLayers_) +
             " weight layers, network has " +
             std::to_string(engine->numQuantLayers()));
-    std::vector<WeightQuantizedLayer *> wlayers =
-        net.weightQuantizedLayers();
-    for (size_t l = 0; l < cells_.size(); ++l) {
+    if (lazy) {
+        // The hydrator shares the open reader, so the artifact lives
+        // exactly as long as the engine may still fault cells in. A
+        // cell that fails to decode reads as absent, and the engine
+        // rebuilds it from the master weights.
+        std::shared_ptr<const io::SectionReader> sr = reader_;
+        engine->setCellHydrator([sr](size_t layer, int bits,
+                                     RpsEngine::HydratedCell &out) {
+            try {
+                out = decodeCell(*sr, layer, bits);
+                return true;
+            } catch (const io::CheckpointError &) {
+                return false;
+            }
+        });
+        return engine;
+    }
+    for (size_t l = 0; l < cacheLayers_; ++l) {
         for (size_t p = 0; p < cacheBits_.size(); ++p) {
-            CacheCell &cell = cells_[l][p];
-            if (cell.codes.size() != wlayers[l]->masterWeight().size() ||
-                cell.codes.bits != cacheBits_[p])
+            if (!engine->importCell(l, p,
+                                    decodeCell(*reader_, l, cacheBits_[p])))
                 throw io::CheckpointError(
                     "checkpoint cache cell does not match layer " +
                     std::to_string(l));
-            Tensor mask = unpackMask(cell.maskBytes, cell.codes.shape,
-                                     cell.codes.size());
-            if (!packs_.empty()) {
-                gemm::PackedIntWeights &pk = packs_[l][p];
-                int m = cell.codes.shape.empty() ? 0
-                                                 : cell.codes.shape[0];
-                int k = m > 0 ? static_cast<int>(cell.codes.size()) / m
-                              : 0;
-                if (pk.m != m || pk.k != k ||
-                    pk.bits != cell.codes.bits)
-                    throw io::CheckpointError(
-                        "checkpoint pack does not match cache cell "
-                        "of layer " +
-                        std::to_string(l));
-                engine->importCell(l, p,
-                                   consume ? std::move(cell.codes)
-                                           : cell.codes,
-                                   std::move(mask),
-                                   consume ? std::move(pk) : pk);
-            } else {
-                engine->importCell(l, p,
-                                   consume ? std::move(cell.codes)
-                                           : cell.codes,
-                                   std::move(mask));
-            }
         }
     }
-    return engine;
-}
-
-StreamingCheckpoint::StreamingCheckpoint(const std::string &path)
-    : reader_(std::make_shared<io::SectionReader>(path)),
-      eager_(Checkpoint::parseEager(*reader_))
-{
-    cacheBits_ = eager_.cacheBits_;
-    cacheLayers_ = eager_.cells_.size();
-    hasPacks_ = (reader_->flags() & kFlagEnginePacks) != 0;
-}
-
-std::unique_ptr<RpsEngine>
-StreamingCheckpoint::restoreEngine(
-    const std::shared_ptr<StreamingCheckpoint> &self, Network &net)
-{
-    if (!self->hasEngineCache())
-        return nullptr;
-    PrecisionSet cache_set = precisionSetFromSpec(self->cacheBits_);
-    for (int b : self->cacheBits_) {
-        if (!net.precisionSet().contains(b))
-            throw io::CheckpointError(
-                "checkpoint cache precision " + std::to_string(b) +
-                " is not in the network's bound set");
-    }
-    auto engine = std::make_unique<RpsEngine>(
-        net, std::move(cache_set), RpsEngine::DeferBuild{});
-    if (engine->numQuantLayers() != self->cacheLayers_)
-        throw io::CheckpointError(
-            "checkpoint cache covers " +
-            std::to_string(self->cacheLayers_) +
-            " weight layers, network has " +
-            std::to_string(engine->numQuantLayers()));
-    // The hydrator owns a reference to this StreamingCheckpoint, so
-    // the open artifact lives exactly as long as the engine may still
-    // fault cells in. Any malformation in a lazily touched cell —
-    // checksum mismatch, bad framing, geometry drift — returns false
-    // and the engine re-quantizes the cell from its master weights,
-    // which reproduces the persisted codes bit-for-bit.
-    std::shared_ptr<StreamingCheckpoint> keep = self;
-    engine->setCellHydrator([keep](size_t layer, int bits,
-                                   RpsEngine::HydratedCell &out) {
-        try {
-            const io::SectionReader &sr = *keep->reader_;
-            const io::SectionInfo *ci = sr.find(
-                kTagCell, static_cast<int32_t>(layer), bits);
-            if (ci == nullptr)
-                return false;
-            std::vector<uint8_t> bytes = sr.read(*ci);
-            io::Reader r(bytes.data(), bytes.size());
-            QuantTensor codes = readCodes(r);
-            std::vector<char> mask_bytes = r.u8Vec();
-            if (!r.atEnd() || codes.bits != bits)
-                return false;
-            out.steMask =
-                unpackMask(mask_bytes, codes.shape, codes.size());
-            if (keep->hasPacks_) {
-                const io::SectionInfo *pi = sr.find(
-                    kTagPack, static_cast<int32_t>(layer), bits);
-                if (pi == nullptr)
-                    return false;
-                std::vector<uint8_t> pbytes = sr.read(*pi);
-                io::Reader pr(pbytes.data(), pbytes.size());
-                gemm::PackedIntWeights pack = readPack(pr);
-                int m = codes.shape.empty() ? 0 : codes.shape[0];
-                int k = m > 0 ? static_cast<int>(codes.size()) / m : 0;
-                if (!pr.atEnd() || pack.m != m || pack.k != k ||
-                    pack.bits != codes.bits)
-                    return false;
-                out.packed = std::move(pack);
-                out.hasPack = true;
-            }
-            out.codes = std::move(codes);
-            return true;
-        } catch (const io::CheckpointError &) {
-            return false;
-        }
-    });
     return engine;
 }
 

@@ -53,11 +53,13 @@
  *          seed u64, serving genome, predicted cost f32)
  *
  * Every file byte is covered by a checksum: header + directory by the
- * directory hash, payload bytes by their section's hash. The eager
- * reader (Checkpoint::read) walks and verifies every section — the
- * whole-file integrity guarantee of format 1 is preserved — while the
- * streaming reader (StreamingCheckpoint) verifies the directory plus
- * only the sections it actually touches, each on first hydration.
+ * directory hash, payload bytes by their section's hash. There is one
+ * loader, Checkpoint: open() verifies the directory and the cheap
+ * model sections, and every engine cell (CELL, with its PACK) goes
+ * through one decoder when the engine takes it — all at once at load,
+ * or one cell at a time on first install (restoreEngine's two
+ * timings). read() adds a pass over every cell section, the whole-file
+ * integrity check.
  *
  * Malformed input (missing file, truncation, checksum mismatch,
  * unsupported version, incompatible spec) throws io::CheckpointError —
@@ -116,19 +118,25 @@ void save(const std::string &path, Network &net,
           const SaveOptions &opts = SaveOptions());
 
 /**
- * A parsed model artifact. read() validates framing and every
- * section checksum; instantiate()/restoreEngine() then rebuild the
- * live objects. Keeping the parsed form separate from the live
- * objects lets one read serve both the network and its engine without
- * touching the file twice.
+ * A model artifact opened for loading — the one loader. open()
+ * validates the header and section directory and decodes the cheap
+ * model sections (ARCH, STAT, MOMN, CBIT, TUNE); the engine cells stay
+ * on disk until restoreEngine() takes them, eagerly or lazily.
+ * instantiate()/restoreEngine() then rebuild the live objects from the
+ * one open file.
  */
 class Checkpoint
 {
   public:
-    /** Parse @p path eagerly — every section is hydrated and
-     * checksum-verified (throws io::CheckpointError on any
-     * malformation: missing file, truncation, bad magic, unsupported
-     * version, checksum mismatch). */
+    /** Open @p path: verify the header + directory and decode the
+     * model sections (throws io::CheckpointError on any malformation:
+     * missing file, truncation, bad magic, unsupported version,
+     * checksum mismatch, a scrambled directory). */
+    static Checkpoint open(const std::string &path);
+
+    /** open() plus one decode of every engine cell and pack: after it,
+     * every section checksum in the file has been verified (the
+     * whole-file integrity check). */
     static Checkpoint read(const std::string &path);
 
     /** The architecture spec the artifact was saved from. */
@@ -146,7 +154,7 @@ class Checkpoint
     bool hasEngineCache() const { return !cacheBits_.empty(); }
 
     /** Whether the cache section also carries tile packs. */
-    bool hasEnginePacks() const { return !packs_.empty(); }
+    bool hasEnginePacks() const;
 
     /** Whether the artifact carries SGD velocity buffers. */
     bool hasOptimizerState() const { return hasMomentum_; }
@@ -164,23 +172,33 @@ class Checkpoint
      * no tuning section. */
     const tune::TuningArtifact *tuning() const { return tuning_.get(); }
 
+    /** The underlying section reader (hydration accounting:
+     * bytesRead()/sectionsRead() tell how much of the artifact a load
+     * actually touched). */
+    const io::SectionReader &reader() const { return *reader_; }
+
     /**
-     * Build an RpsEngine on @p net warm-started from the serialized
-     * code cache: no quantization pass runs — every cell is imported
-     * as built (columnRebuilds() == 0, and the first switch serves
-     * with cacheMisses() == 0). Returns nullptr when the artifact has
-     * no cache section. @p net must be the instantiate()d network (or
-     * one of identical architecture); mismatches throw. The lvalue
-     * overload copies the cells (the Checkpoint stays reusable); the
-     * rvalue overload moves them into the engine — the multi-megabyte
-     * code cache is not duplicated on the one-shot load path.
+     * Build a DeferBuild engine on @p net warm-started from the
+     * serialized code cache; no quantization pass runs. Returns
+     * nullptr when the artifact has no cache section. @p net must be
+     * the instantiate()d network (or one of identical architecture):
+     * a cached precision outside its bound set or a different weight
+     * layer count throws io::CheckpointError.
+     *
+     * Eager (@p lazy false): every cell, with its pack when the
+     * artifact has packs, is decoded and imported now
+     * (columnRebuilds() == 0); a malformed cell, or one that does not
+     * fit its layer, throws. Lazy: the engine gets a cell hydrator
+     * that decodes each (layer, precision) cell on its first install
+     * and keeps the open file alive; a malformed or misfit cell is
+     * rebuilt from the master weights instead, which reproduces the
+     * persisted codes bit for bit — serving stays correct, the cell
+     * just loses its warm-start discount.
      */
-    std::unique_ptr<RpsEngine> restoreEngine(Network &net) const &;
-    std::unique_ptr<RpsEngine> restoreEngine(Network &net) &&;
+    std::unique_ptr<RpsEngine> restoreEngine(Network &net,
+                                             bool lazy = false) const;
 
   private:
-    friend class StreamingCheckpoint;
-
     /** One named state blob (see StateEntry for the dtype mapping). */
     struct Blob
     {
@@ -191,99 +209,19 @@ class Checkpoint
         bool flag = false;
     };
 
-    /** One serialized engine cache cell. */
-    struct CacheCell
-    {
-        QuantTensor codes;
-        std::vector<char> maskBytes; ///< STE mask, bit-packed
-    };
-
-    /** Parse the always-eager sections (ARCH, STAT, MOMN, TUNE) plus
-     * the cache *metadata* (CBIT) from @p sr. Cell/pack payloads are
-     * left untouched — the eager read() hydrates them next, the
-     * streaming loader never does. */
-    static Checkpoint parseEager(const io::SectionReader &sr);
-
-    /** Shared restoreEngine body; @p consume moves the cell codes
-     * out (rvalue overload) instead of copying them. */
-    std::unique_ptr<RpsEngine> restoreEngineImpl(Network &net,
-                                                 bool consume);
-
+    /** The open artifact; a lazy engine's hydrator shares it. */
+    std::shared_ptr<const io::SectionReader> reader_;
     NetworkSpec spec_;
     std::map<std::string, Blob> blobs_;
     /** Velocity tensors in Network::parameters() order (MOMN). */
     std::vector<Tensor> momentum_;
     bool hasMomentum_ = false;
+    /** Cached precisions (CBIT), in the cache set's order. */
     std::vector<int> cacheBits_;
-    /** cells_[layer][precision index in cacheBits_]. */
-    std::vector<std::vector<CacheCell>> cells_;
-    /** packs_[layer][precision index], parallel to cells_; empty when
-     * the artifact carries no pack section. */
-    std::vector<std::vector<gemm::PackedIntWeights>> packs_;
+    /** Weight layers the cache covers (CBIT). */
+    size_t cacheLayers_ = 0;
     /** The tuning section, when present. */
     std::unique_ptr<tune::TuningArtifact> tuning_;
-};
-
-/**
- * The streaming load path: parse the directory plus the cheap
- * always-needed sections (arch spec, state blobs, optimizer state,
- * tuning) eagerly, and leave the dominant payload — the engine code
- * cells and tile packs — on disk, hydrated per (layer, precision) on
- * first touch through the RpsEngine's cell hydrator. Peak RSS of a
- * warm start drops from ~artifact size to ~model state + the cells
- * actually resident under the engine's byte budget.
- *
- * Corruption in a lazily hydrated cell is detected by its section
- * checksum at first touch; the engine then falls back to re-
- * quantizing the cell from the master weights, which is bit-identical
- * to the persisted codes — serving stays correct, the artifact just
- * loses its warm-start discount for that cell.
- */
-class StreamingCheckpoint
-{
-  public:
-    /** Open @p path: validate header + directory, hydrate the eager
-     * sections (throws io::CheckpointError on malformation). */
-    explicit StreamingCheckpoint(const std::string &path);
-
-    const NetworkSpec &spec() const { return eager_.spec(); }
-
-    /** Rebuild the network from the eagerly hydrated spec + state. */
-    Network instantiate() const { return eager_.instantiate(); }
-
-    bool hasEngineCache() const { return !cacheBits_.empty(); }
-    bool hasOptimizerState() const { return eager_.hasOptimizerState(); }
-    void restoreOptimizer(Sgd &opt, Network &net) const
-    {
-        eager_.restoreOptimizer(opt, net);
-    }
-    const tune::TuningArtifact *tuning() const { return eager_.tuning(); }
-
-    /** The underlying section reader (hydration accounting:
-     * bytesRead()/sectionsRead() tell how much of the artifact a
-     * streaming warm start actually touched). */
-    const io::SectionReader &reader() const { return *reader_; }
-
-    /**
-     * Build a DeferBuild engine on @p net whose cells hydrate lazily
-     * from the artifact: each (layer, precision) cell is read,
-     * checksum-verified, and imported on its first install — with
-     * packs when the artifact carries them. Returns nullptr when
-     * there is no cache section. Static over a shared_ptr because
-     * the installed hydrator keeps @p self (and the open file) alive
-     * for the engine's lifetime.
-     */
-    static std::unique_ptr<RpsEngine>
-    restoreEngine(const std::shared_ptr<StreamingCheckpoint> &self,
-                  Network &net);
-
-  private:
-    std::shared_ptr<io::SectionReader> reader_;
-    /** The eager sections, parsed once (cells_/packs_ stay empty). */
-    Checkpoint eager_;
-    std::vector<int> cacheBits_;
-    size_t cacheLayers_ = 0;
-    bool hasPacks_ = false;
 };
 
 } // namespace checkpoint

@@ -151,11 +151,12 @@ void setFaultHooks(FaultHooks hooks);
 void clearFaultHooks();
 
 /** Whether a read-side fault hook is currently installed. The
- * streaming SectionReader consults this at open time: positional
+ * SectionReader (io/stream.hh) consults this at open time: positional
  * reads would bypass the readFile() seam, so under hooks it falls
  * back to one buffered readFile() pass and serves sections from the
- * (possibly corrupted) buffer — injected faults stay byte-identical
- * to the eager reader's view. */
+ * (possibly corrupted) buffer — an injected fault lands in the same
+ * section, at the same byte, whether the cells load eagerly or
+ * lazily. */
 bool readFaultHookInstalled();
 
 /** Write a byte buffer to @p path (throws CheckpointError on I/O

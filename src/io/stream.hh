@@ -14,7 +14,9 @@
  * a few hundred bytes — and hydrates individual sections on demand
  * with pread(2), verifying each section's checksum as it lands.
  *
- * Integrity guarantees match the eager reader byte for byte:
+ * It is the only artifact reader: checkpoint::Checkpoint loads every
+ * section through it, whether the engine cells are decoded at load or
+ * on first touch. Its integrity guarantees:
  *
  *  - every file byte is covered: header + directory by the directory
  *    checksum, every payload byte by exactly one section checksum,
@@ -34,7 +36,8 @@
  * reads would bypass that seam, so when a read hook is installed at
  * open time the reader degrades to one buffered io::readFile() pass
  * and serves sections out of the (possibly corrupted) buffer —
- * injected corruption is observed exactly as the eager reader would.
+ * injected corruption lands in whichever section covers the mutated
+ * bytes, at the same byte, on both hydration timings.
  */
 
 #ifndef TWOINONE_IO_STREAM_HH

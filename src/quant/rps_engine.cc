@@ -52,24 +52,17 @@ RpsEngine::cellStale(size_t layer, size_t prec) const
 }
 
 bool
-RpsEngine::tryHydrate(size_t layer, size_t prec)
+RpsEngine::landCell(size_t layer, size_t prec, HydratedCell &&h)
 {
-    if (!hydrator_)
-        return false;
-    // The artifact's cells were quantized from the masters as saved;
-    // once a layer trains past that version its persisted codes are
-    // wrong — rebuild instead.
-    if (layers_[layer]->masterWeightVersion() !=
-        hydratorVersion_[layer])
-        return false;
-    HydratedCell h;
-    if (!hydrator_(layer, cacheSet_.bits()[prec], h))
-        return false;
-    // Defensive geometry check: a malformed (but parseable) cell must
-    // fall back to a rebuild, not corrupt the install.
+    // A decodable cell that does not fit this layer and precision
+    // (wrong bits, size, mask or pack geometry) is refused whole.
+    const int m = h.codes.shape.empty() ? 0 : h.codes.shape[0];
+    const int k = m > 0 ? static_cast<int>(h.codes.size()) / m : 0;
     if (h.codes.bits != cacheSet_.bits()[prec] ||
         h.codes.size() != layers_[layer]->masterWeight().size() ||
-        h.steMask.size() != h.codes.size())
+        h.steMask.size() != h.codes.size() ||
+        (h.hasPack && (h.packed.m != m || h.packed.k != k ||
+                       h.packed.bits != h.codes.bits)))
         return false;
     CacheEntry &e = cache_[layer][prec];
     e.codes = std::move(h.codes);
@@ -86,6 +79,24 @@ RpsEngine::tryHydrate(size_t layer, size_t prec)
     }
     e.built = true;
     e.builtVersion = layers_[layer]->masterWeightVersion();
+    return true;
+}
+
+bool
+RpsEngine::tryHydrate(size_t layer, size_t prec)
+{
+    if (!hydrator_)
+        return false;
+    // The artifact's cells were quantized from the masters as saved;
+    // once a layer trains past that version its persisted codes are
+    // wrong — rebuild instead.
+    if (layers_[layer]->masterWeightVersion() !=
+        hydratorVersion_[layer])
+        return false;
+    HydratedCell h;
+    if (!hydrator_(layer, cacheSet_.bits()[prec], h) ||
+        !landCell(layer, prec, std::move(h)))
+        return false;
     cellHydrations_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -212,32 +223,41 @@ RpsEngine::setPrecision(int bits)
         return;
     }
     size_t idx = static_cast<size_t>(cacheSet_.indexOf(bits));
-    // Bring the installed column current: hydrate absent cells from
-    // the streaming artifact when one is attached, re-quantize cells
+    // A column whose every cell is current, float-materialized and
+    // packed installs without waking the pool: the serial scan is the
+    // whole cost of a cached switch.
+    bool ready = true;
+    for (size_t l = 0; l < layers_.size() && ready; ++l) {
+        const CacheEntry &e = cache_[l][idx];
+        ready = e.floatsReady && e.packedReady && !cellStale(l, idx);
+    }
+    // Otherwise bring the column current: hydrate absent cells from
+    // the artifact when a hydrator is attached, re-quantize cells
     // whose master weights moved (the lazy column rebuild — only the
     // column being consumed pays), and materialize float views on
     // first use (codes are the source of truth; float(code) * scale
     // is exactly the fake-quant grid value).
-    ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(layers_.size()), 1,
-        [&](int64_t lo, int64_t hi) {
-            for (int64_t l = lo; l < hi; ++l) {
-                size_t ls = static_cast<size_t>(l);
-                CacheEntry &e = cache_[ls][idx];
-                ensureCell(ls, idx, /*want_floats=*/true);
-                if (!e.floatsReady) {
-                    e.codes.dequantizeInto(e.floats.values);
-                    e.floatsReady = true;
+    if (!ready)
+        ThreadPool::global().parallelFor(
+            0, static_cast<int64_t>(layers_.size()), 1,
+            [&](int64_t lo, int64_t hi) {
+                for (int64_t l = lo; l < hi; ++l) {
+                    size_t ls = static_cast<size_t>(l);
+                    CacheEntry &e = cache_[ls][idx];
+                    ensureCell(ls, idx, /*want_floats=*/true);
+                    if (!e.floatsReady) {
+                        e.codes.dequantizeInto(e.floats.values);
+                        e.floatsReady = true;
+                    }
+                    // First install of this cell: build the tile-packed
+                    // kernel weights (rebuilds keep them current after
+                    // this). Packing is a data-layout copy, not a
+                    // quantization, so it does not count as a column
+                    // rebuild — checkpoint warm starts stay at zero.
+                    if (!e.packedReady)
+                        packEntry(e);
                 }
-                // First install of this cell: build the tile-packed
-                // kernel weights (rebuilds keep them current after
-                // this). Packing is a data-layout copy, not a
-                // quantization, so it does not count as a column
-                // rebuild — checkpoint warm starts stay at zero.
-                if (!e.packedReady)
-                    packEntry(e);
-            }
-        });
+            });
     const uint64_t tick = ++useTick_;
     for (size_t l = 0; l < layers_.size(); ++l) {
         cache_[l][idx].lastUse = tick;
@@ -317,54 +337,16 @@ RpsEngine::steMaskFor(size_t layer, int bits)
     return cache_[layer][p].floats.steMask;
 }
 
-void
-RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes,
-                          Tensor ste_mask)
+bool
+RpsEngine::importCell(size_t layer, size_t prec, HydratedCell cell)
 {
     TWOINONE_ASSERT(layer < cache_.size() && prec < cacheSet_.size(),
                     "cache cell out of range");
-    TWOINONE_ASSERT(codes.bits == cacheSet_.bits()[prec],
-                    "imported cell precision mismatch");
-    TWOINONE_ASSERT(codes.size() == layers_[layer]->masterWeight().size(),
-                    "imported cell size mismatch");
-    CacheEntry &e = cache_[layer][prec];
-    e.codes = std::move(codes);
-    e.floats.steMask = std::move(ste_mask);
-    e.floats.values = Tensor();
-    e.floats.scale = e.codes.scale;
-    e.floats.bits = e.codes.bits;
-    e.floatsReady = false;
-    if (e.packedReady)
-        packEntry(e); // keep a live tile pack current
-    e.built = true;
-    e.builtVersion = layers_[layer]->masterWeightVersion();
-    e.lastUse = ++useTick_;
-}
-
-void
-RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
-                      Tensor ste_mask)
-{
-    importCellImpl(layer, prec, std::move(codes), std::move(ste_mask));
+    if (!landCell(layer, prec, std::move(cell)))
+        return false;
+    cache_[layer][prec].lastUse = ++useTick_;
     evictToBudget();
-}
-
-void
-RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
-                      Tensor ste_mask, gemm::PackedIntWeights packed)
-{
-    TWOINONE_ASSERT(layer < cache_.size() && prec < cacheSet_.size(),
-                    "cache cell out of range");
-    const int m = codes.shape.empty() ? 0 : codes.shape[0];
-    const int k = m > 0 ? static_cast<int>(codes.size()) / m : 0;
-    TWOINONE_ASSERT(packed.m == m && packed.k == k &&
-                        packed.bits == codes.bits,
-                    "imported pack geometry does not match its codes");
-    importCellImpl(layer, prec, std::move(codes), std::move(ste_mask));
-    CacheEntry &e = cache_[layer][prec];
-    e.packed = std::move(packed);
-    e.packedReady = true;
-    evictToBudget();
+    return true;
 }
 
 const gemm::PackedIntWeights &

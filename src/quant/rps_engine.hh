@@ -111,10 +111,11 @@ class RpsEngine
 
     /**
      * Construct with an *empty* cache: no quantization pass runs.
-     * Cells are expected to arrive through importCell() (checkpoint
-     * warm start); any cell never imported rebuilds lazily on its
-     * first install, so a partial import degrades gracefully to the
-     * ordinary lazy path.
+     * Cells are expected to arrive from a checkpoint — imported
+     * up front through importCell(), or hydrated on first install
+     * through a CellHydrator; any cell that never arrives rebuilds
+     * lazily on its first install, so a partial warm start degrades
+     * gracefully to the ordinary lazy path.
      */
     RpsEngine(Network &net, PrecisionSet cache_set, DeferBuild);
 
@@ -145,9 +146,9 @@ class RpsEngine
     /** The installed budget policy. */
     const EngineCacheConfig &cacheConfig() const { return cacheCfg_; }
 
-    /** One lazily hydrated cache cell, produced by a CellHydrator:
-     * the canonical codes + STE mask (and optionally the tile pack),
-     * exactly as importCell would receive them. */
+    /** One persisted cache cell, as the checkpoint decoder produces
+     * it for importCell() or a CellHydrator: the canonical codes +
+     * STE mask, and the tile pack when the artifact carries packs. */
     struct HydratedCell
     {
         QuantTensor codes;
@@ -158,11 +159,12 @@ class RpsEngine
 
     /**
      * Source of truth for absent cells, consulted before the engine
-     * falls back to re-quantizing from the master weights: the
-     * streaming checkpoint loader installs one that reads the cell's
-     * section from disk. Returns false on any failure (missing
+     * falls back to re-quantizing from the master weights: a lazy
+     * checkpoint restore installs one that decodes the cell's
+     * sections from disk. Returns false on any failure (missing
      * section, corruption) — the engine then rebuilds the cell, which
-     * is bit-identical to the persisted codes. Called concurrently
+     * is bit-identical to the persisted codes. A hydrated cell lands
+     * through the same checks as importCell(). Called concurrently
      * from the install pass, so it must be thread-safe; it is only
      * consulted while a layer's master weights still match their
      * state at hydrator installation (training invalidates the
@@ -261,27 +263,16 @@ class RpsEngine
     const Tensor &steMaskFor(size_t layer, int bits);
 
     /**
-     * Install one externally restored cache cell (checkpoint warm
-     * start): the canonical codes plus the STE mask, both quantized
-     * from the layer's *current* master weights by the producer. The
-     * cell is marked built at the layer's current weight version; the
-     * float view stays lazy (materialized on first install, as after
-     * an ordinary build). Shape/precision must match the layer and
-     * the cached set — the checkpoint loader validates before calling.
+     * Install one persisted cache cell (checkpoint warm start): the
+     * canonical codes plus the STE mask, both quantized from the
+     * layer's *current* master weights by the producer, and the tile
+     * pack when @p cell carries one (then packBuilds() stays 0 for
+     * the cell). The cell is marked built at the layer's current
+     * weight version; the float view stays lazy. Returns false and
+     * leaves the cache untouched when the cell does not fit the layer
+     * and precision (bits, size, mask or pack geometry).
      */
-    void importCell(size_t layer, size_t prec, QuantTensor codes,
-                    Tensor ste_mask);
-
-    /**
-     * importCell() variant that also installs a pre-built tile pack
-     * (checkpoint pack persistence): the cell arrives packed-ready,
-     * so the first precision switch skips the pack pass entirely —
-     * packBuilds() stays 0 on a fully pack-warm start. @p packed must
-     * have been produced by gemm::packWeights over exactly @p codes;
-     * geometry mismatches panic.
-     */
-    void importCell(size_t layer, size_t prec, QuantTensor codes,
-                    Tensor ste_mask, gemm::PackedIntWeights packed);
+    bool importCell(size_t layer, size_t prec, HydratedCell cell);
 
     /** The tile-packed kernel weights of layer @p layer at @p bits
      * (checkpoint writer access; brings a stale cell current and
@@ -380,10 +371,11 @@ class RpsEngine
     /** Bytes one cell currently holds (the cacheBytes() summand). */
     static size_t cellBytes(const CacheEntry &e);
 
-    /** Shared importCell body (no budget enforcement — the public
-     * overloads re-enforce it once the cell is fully landed). */
-    void importCellImpl(size_t layer, size_t prec, QuantTensor codes,
-                        Tensor ste_mask);
+    /** The one landing body of importCell() and tryHydrate(): move
+     * @p h into the cell when it fits the layer and precision, else
+     * return false with the cache untouched. No budget enforcement;
+     * thread-safe for disjoint cells. */
+    bool landCell(size_t layer, size_t prec, HydratedCell &&h);
 
     /** Try to fill an absent cell from the hydrator. Thread-safe for
      * disjoint cells (each parallelFor worker owns its cell). */

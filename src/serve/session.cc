@@ -25,7 +25,7 @@ engineSet(const SessionConfig &cfg, const Network &net)
     return cfg.cacheSet.empty() ? net.precisionSet() : cfg.cacheSet;
 }
 
-/** Retry-with-backoff around an artifact open/parse: transient
+/** Retry-with-backoff around an artifact load: transient
  * corruption (a racing writer, flaky storage) often clears on the
  * next attempt; persistent corruption exhausts the budget and
  * surfaces the last CheckpointError to the caller — recoverable,
@@ -93,69 +93,44 @@ Session::Session(std::unique_ptr<Network> owned, Network *net,
 Session
 Session::fromCheckpoint(const std::string &path, SessionConfig cfg)
 {
-    if (cfg.streamArtifact) {
-        // Streaming load: header + directory + model state hydrate
-        // eagerly (inside the retry budget — that is where framing
-        // corruption surfaces); the engine code cells stay on disk
-        // and fault in per (layer, precision) on first install.
-        auto sckpt = loadWithRetries(cfg, [&] {
-            return std::make_shared<checkpoint::StreamingCheckpoint>(
-                path);
-        });
-        if (sckpt->spec().precisions.empty())
-            throw io::CheckpointError(
-                path +
-                " holds a model with no candidate precision set — "
-                "not servable through a Session");
-        auto net = std::make_unique<Network>(sckpt->instantiate());
+    struct Loaded
+    {
+        std::unique_ptr<Network> net;
         std::unique_ptr<tune::TuningArtifact> tuning;
-        if (sckpt->tuning() != nullptr) {
-            tuning =
-                std::make_unique<tune::TuningArtifact>(*sckpt->tuning());
-            if (cfg.applyTuning)
-                tune::applyGenome(tuning->genome, cfg.serving);
-        }
         std::unique_ptr<RpsEngine> engine;
+    };
+    // The whole load runs inside the retry budget: a corrupt section
+    // surfaces wherever it is first read — the model sections at
+    // open, an eagerly restored engine cell at restoreEngine.
+    Loaded l = loadWithRetries(cfg, [&] {
+        checkpoint::Checkpoint ckpt = checkpoint::Checkpoint::open(path);
+        Loaded out;
+        out.net = std::make_unique<Network>(ckpt.instantiate());
+        if (ckpt.tuning() != nullptr)
+            out.tuning =
+                std::make_unique<tune::TuningArtifact>(*ckpt.tuning());
+        // A serialized code cache warm-starts the engine — unless the
+        // caller asked for a different candidate subset, which the
+        // artifact's full-set cache does not represent.
         if (cfg.cacheSet.empty())
-            engine = checkpoint::StreamingCheckpoint::restoreEngine(
-                sckpt, *net);
-        Network *raw = net.get();
-        Session s(std::move(net), raw, std::move(cfg),
-                  std::move(engine));
-        s.tuning_ = std::move(tuning);
-        return s;
-    }
-    checkpoint::Checkpoint ckpt = loadWithRetries(
-        cfg, [&] { return checkpoint::Checkpoint::read(path); });
+            out.engine = ckpt.restoreEngine(*out.net, cfg.streamArtifact);
+        return out;
+    });
     // Sessions require an RPS-capable model; the constructor treats a
     // precision-less network as a caller bug (panic), but here the
     // network comes from the artifact — recoverable input.
-    if (ckpt.spec().precisions.empty())
+    if (l.net->precisionSet().empty())
         throw io::CheckpointError(
             path + " holds a model with no candidate precision set — "
                    "not servable through a Session");
-    auto net = std::make_unique<Network>(ckpt.instantiate());
-    // A tuning section carries the serving autotuner's winner: copy
-    // it out before the checkpoint's cells move into the engine, and
-    // (by default) apply its session-scoped knobs to the serving
-    // config before any Server builds its executor.
-    std::unique_ptr<tune::TuningArtifact> tuning;
-    if (ckpt.tuning() != nullptr) {
-        tuning = std::make_unique<tune::TuningArtifact>(*ckpt.tuning());
-        if (cfg.applyTuning)
-            tune::applyGenome(tuning->genome, cfg.serving);
-    }
-    std::unique_ptr<RpsEngine> engine;
-    // A serialized code cache warm-starts the engine — unless the
-    // caller asked for a different candidate subset, which the
-    // artifact's full-set cache does not represent. The checkpoint is
-    // local and dies here, so the cells move instead of copying.
-    if (cfg.cacheSet.empty())
-        engine = std::move(ckpt).restoreEngine(*net);
-    Network *raw = net.get();
-    Session s(std::move(net), raw, std::move(cfg),
-              std::move(engine));
-    s.tuning_ = std::move(tuning);
+    // A tuning section carries the serving autotuner's winner: (by
+    // default) apply its session-scoped knobs to the serving config
+    // before any Server builds its executor.
+    if (l.tuning != nullptr && cfg.applyTuning)
+        tune::applyGenome(l.tuning->genome, cfg.serving);
+    Network *raw = l.net.get();
+    Session s(std::move(l.net), raw, std::move(cfg), std::move(l.engine));
+    s.tuning_ = std::move(l.tuning);
     return s;
 }
 

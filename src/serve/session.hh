@@ -66,21 +66,24 @@ struct SessionConfig
      * set. An empty set warm-starts the engine from a checkpoint's
      * serialized code cache when it carries one; a non-empty set
      * overrides it (the cache is built fresh for the requested
-     * subset). */
+     * subset, and the artifact's cells are never read). */
     PrecisionSet cacheSet;
 
     /** @name Streaming artifacts & cache budgets
-     * streamArtifact makes fromCheckpoint() hydrate lazily: header +
-     * directory + model state load eagerly, while engine code cells
-     * (the dominant payload on ImageNet-class shapes) stay on disk
-     * and fault in per (layer, precision) on first install — peak RSS
-     * of a warm start drops from ~artifact size to ~model state plus
-     * the resident cells. cacheBudgetBytes (0 = unlimited) caps the
-     * engine cache with LRU-by-(layer, precision) eviction; evicted
-     * cells rehydrate from the artifact (or re-quantize from the
-     * masters), bit-identically. pinnedBits lists precisions never
-     * evicted. The budget applies to session-owned engines on every
-     * construction path; pinned precisions must be cached candidates. */
+     * fromCheckpoint() always opens the artifact the same way (header,
+     * directory and model state); streamArtifact picks when the engine
+     * code cells — the dominant payload on ImageNet-class shapes — are
+     * decoded. Off, every cell is decoded and imported at load, and a
+     * corrupt one fails the load. On, each cell stays on disk until
+     * its (layer, precision) is first installed, and a corrupt one is
+     * rebuilt from the masters — load RSS drops from ~the full cache
+     * to ~model state plus the resident cells. cacheBudgetBytes
+     * (0 = unlimited) caps the engine cache with LRU-by-(layer,
+     * precision) eviction; evicted cells rehydrate from the artifact
+     * (or re-quantize from the masters), bit-identically. pinnedBits
+     * lists precisions never evicted. The budget applies to
+     * session-owned engines on every construction path; pinned
+     * precisions must be cached candidates. */
     /** @{ */
     bool streamArtifact = false;
     size_t cacheBudgetBytes = 0;
@@ -95,10 +98,11 @@ struct SessionConfig
     bool applyTuning = true;
 
     /** @name Artifact-load resilience
-     * fromCheckpoint() retries a failed parse/instantiate up to
-     * loadRetries extra times (a transiently corrupt read — a racing
-     * writer, flaky storage — often succeeds on the next attempt),
-     * sleeping loadRetryBackoffMs doubled per attempt between tries.
+     * fromCheckpoint() retries a failed load (open, instantiate,
+     * engine restore) up to loadRetries extra times — a transiently
+     * corrupt read (a racing writer, flaky storage) often succeeds on
+     * the next attempt — sleeping loadRetryBackoffMs doubled per
+     * attempt between tries.
      * Exhaustion rethrows the last io::CheckpointError — a
      * recoverable condition the caller can degrade on, never a
      * crash. onLoadRetry (when set) observes each failed attempt

@@ -308,66 +308,93 @@ TEST(Checkpoint, LoadsWithoutEngineCache)
 
 /** Truncated, corrupted, wrong-version, and non-checkpoint inputs
  * all fail with CheckpointError — never a crash, never a silently
- * wrong model. */
+ * wrong model — for an artifact with and one without tile packs. A
+ * flip in the last PACK is invisible to open(), which leaves the
+ * cells on disk, and caught by read()'s whole-file pass. */
 TEST(Checkpoint, MalformedArtifactsThrow)
 {
     Network net = makeTinyNet(47);
     RpsEngine engine(net);
     std::string path = tmpPath("malformed");
     checkpoint::save(path, net, &engine);
-    std::vector<uint8_t> good = io::readFile(path);
-    ASSERT_GT(good.size(), 64u);
+    std::vector<uint8_t> plain = io::readFile(path);
+    checkpoint::SaveOptions opts;
+    opts.includeEnginePacks = true;
+    checkpoint::save(path, net, &engine, opts);
+    std::vector<uint8_t> packed = io::readFile(path);
 
     // Missing file.
     EXPECT_THROW(checkpoint::Checkpoint::read(tmpPath("nonexistent")),
                  io::CheckpointError);
 
-    // Truncation at several depths: inside the header, inside the
-    // payload, and just short of the checksum.
-    for (size_t keep :
-         {size_t(4), size_t(20), good.size() / 2, good.size() - 4}) {
-        std::vector<uint8_t> cut(good.begin(),
-                                 good.begin() +
-                                     static_cast<ptrdiff_t>(keep));
-        io::writeFile(path, cut);
-        EXPECT_THROW(checkpoint::Checkpoint::read(path),
-                     io::CheckpointError)
-            << "kept " << keep << " bytes";
-    }
-
-    // Bit corruption in the payload: the checksum catches it.
-    {
-        std::vector<uint8_t> bad = good;
-        bad[bad.size() / 2] ^= 0xff;
-        io::writeFile(path, bad);
-        EXPECT_THROW(checkpoint::Checkpoint::read(path),
-                     io::CheckpointError);
-    }
-
-    // Header corruption: a flipped flags bit must read as corruption
-    // (the checksum covers the header), not silently drop the engine
-    // cache section.
-    {
-        std::vector<uint8_t> bad = good;
-        bad[12] ^= 0x01; // flags u32 follows the magic + version
-        io::writeFile(path, bad);
-        EXPECT_THROW(checkpoint::Checkpoint::read(path),
-                     io::CheckpointError);
-    }
-
-    // Future format version: refused with a version message, not
-    // misparsed.
-    {
-        std::vector<uint8_t> bad = good;
-        bad[8] = 99; // version u32 follows the 8-byte magic
-        io::writeFile(path, bad);
-        try {
-            checkpoint::Checkpoint::read(path);
-            FAIL() << "version mismatch not detected";
-        } catch (const io::CheckpointError &e) {
-            EXPECT_NE(std::string(e.what()).find("version"),
-                      std::string::npos);
+    for (const std::vector<uint8_t> &good : {plain, packed}) {
+        ASSERT_GT(good.size(), 64u);
+        // Truncation at several depths: inside the header, inside the
+        // payload, and just short of the checksum.
+        for (size_t keep :
+             {size_t(4), size_t(20), good.size() / 2, good.size() - 4}) {
+            std::vector<uint8_t> cut(good.begin(),
+                                     good.begin() +
+                                         static_cast<ptrdiff_t>(keep));
+            io::writeFile(path, cut);
+            EXPECT_THROW(checkpoint::Checkpoint::read(path),
+                         io::CheckpointError)
+                << "kept " << keep << " bytes";
         }
+
+        // Bit corruption in the payload: the checksum catches it.
+        {
+            std::vector<uint8_t> bad = good;
+            bad[bad.size() / 2] ^= 0xff;
+            io::writeFile(path, bad);
+            EXPECT_THROW(checkpoint::Checkpoint::read(path),
+                         io::CheckpointError);
+        }
+
+        // Header corruption: a flipped flags bit must read as
+        // corruption (the checksum covers the header), not silently
+        // drop the engine cache section.
+        {
+            std::vector<uint8_t> bad = good;
+            bad[12] ^= 0x01; // flags u32 follows the magic + version
+            io::writeFile(path, bad);
+            EXPECT_THROW(checkpoint::Checkpoint::read(path),
+                         io::CheckpointError);
+        }
+
+        // Future format version: refused with a version message, not
+        // misparsed.
+        {
+            std::vector<uint8_t> bad = good;
+            bad[8] = 99; // version u32 follows the 8-byte magic
+            io::writeFile(path, bad);
+            try {
+                checkpoint::Checkpoint::read(path);
+                FAIL() << "version mismatch not detected";
+            } catch (const io::CheckpointError &e) {
+                EXPECT_NE(std::string(e.what()).find("version"),
+                          std::string::npos);
+            }
+        }
+    }
+
+    // A flipped byte in the last PACK section.
+    {
+        io::writeFile(path, packed);
+        uint64_t off = 0;
+        {
+            io::SectionReader sr(path);
+            for (const io::SectionInfo &si : sr.sections())
+                if (si.is("PACK"))
+                    off = si.offset + si.size / 2;
+        }
+        ASSERT_GT(off, 0u);
+        std::vector<uint8_t> bad = packed;
+        bad[off] ^= 0xff;
+        io::writeFile(path, bad);
+        EXPECT_NO_THROW(checkpoint::Checkpoint::open(path));
+        EXPECT_THROW(checkpoint::Checkpoint::read(path),
+                     io::CheckpointError);
     }
 
     // Not a checkpoint at all.

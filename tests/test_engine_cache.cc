@@ -68,6 +68,31 @@ populate(RpsEngine &eng)
         eng.setPrecision(bits);
 }
 
+/** Flip one byte inside the first CELL payload of the artifact at
+ * @p path and return that cell's precision: the directory still
+ * verifies, so the damage surfaces exactly when that cell is read. */
+int
+corruptFirstCell(const std::string &path)
+{
+    uint64_t off = 0;
+    int bits = 0;
+    {
+        io::SectionReader sr(path);
+        const io::SectionInfo *cell = sr.find("CELL");
+        if (cell == nullptr)
+            return 0;
+        off = cell->offset + cell->size / 2;
+        bits = cell->b;
+    }
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(off));
+    char c = 0;
+    f.get(c);
+    f.seekp(static_cast<std::streamoff>(off));
+    f.put(static_cast<char>(c ^ 0x5a));
+    return bits;
+}
+
 /** The invariant: once a budget is set, cacheBytes() never exceeds it
  * — not after the initial trim, not at any point of a random switch
  * churn. */
@@ -196,16 +221,16 @@ TEST(EngineCache, StreamingWarmStartHydratesLazily)
     opts.includeEnginePacks = true;
     checkpoint::save(path, net, &engine, opts);
 
-    auto sckpt = std::make_shared<checkpoint::StreamingCheckpoint>(path);
-    ASSERT_TRUE(sckpt->hasEngineCache());
+    checkpoint::Checkpoint ckpt = checkpoint::Checkpoint::open(path);
+    ASSERT_TRUE(ckpt.hasEngineCache());
     // The open hydrated spec + state, not the cells: most of the
     // artifact (the cache payload) is still unread.
-    size_t eager_bytes = sckpt->reader().bytesRead();
-    EXPECT_LT(eager_bytes, sckpt->reader().fileSize() / 2);
+    const io::SectionReader &sr = ckpt.reader();
+    EXPECT_LT(sr.bytesRead(), sr.fileSize() / 2);
 
-    Network net2 = sckpt->instantiate();
+    Network net2 = ckpt.instantiate();
     std::unique_ptr<RpsEngine> eng2 =
-        checkpoint::StreamingCheckpoint::restoreEngine(sckpt, net2);
+        ckpt.restoreEngine(net2, /*lazy=*/true);
     ASSERT_NE(eng2, nullptr);
     EXPECT_EQ(eng2->cellHydrations(), 0u); // nothing touched yet
 
@@ -217,7 +242,7 @@ TEST(EngineCache, StreamingWarmStartHydratesLazily)
     EXPECT_EQ(eng2->cellHydrations(), eng2->numQuantLayers());
     EXPECT_EQ(eng2->columnRebuilds(), 0u);
     EXPECT_EQ(eng2->packBuilds(), 0u);
-    EXPECT_LT(sckpt->reader().bytesRead(), sckpt->reader().fileSize());
+    EXPECT_LT(sr.bytesRead(), sr.fileSize());
 
     for (int bits : eng2->set().bits()) {
         expectBitIdentical(engine.forwardAt(bits, x),
@@ -246,10 +271,10 @@ TEST(EngineCache, EvictedCellsRehydrateBitIdentically)
     opts.includeEnginePacks = true;
     checkpoint::save(path, net, &engine, opts);
 
-    auto sckpt = std::make_shared<checkpoint::StreamingCheckpoint>(path);
-    Network net2 = sckpt->instantiate();
+    checkpoint::Checkpoint ckpt = checkpoint::Checkpoint::open(path);
+    Network net2 = ckpt.instantiate();
     std::unique_ptr<RpsEngine> eng2 =
-        checkpoint::StreamingCheckpoint::restoreEngine(sckpt, net2);
+        ckpt.restoreEngine(net2, /*lazy=*/true);
     ASSERT_NE(eng2, nullptr);
     EngineCacheConfig cfg;
     cfg.budgetBytes = full * 2 / 5;
@@ -285,33 +310,13 @@ TEST(EngineCache, CorruptCellHydrationFallsBackToRebuild)
 
     std::string path = tmpPath("corrupt");
     checkpoint::save(path, net, &engine);
+    int bad_bits = corruptFirstCell(path);
+    ASSERT_NE(bad_bits, 0);
 
-    // Flip one byte inside the first CELL payload: the directory
-    // still verifies, so the damage surfaces exactly at that cell's
-    // hydration.
-    uint64_t off = 0;
-    int bad_bits = 0;
-    {
-        io::SectionReader sr(path);
-        const io::SectionInfo *cell = sr.find("CELL");
-        ASSERT_NE(cell, nullptr);
-        off = cell->offset + cell->size / 2;
-        bad_bits = cell->b;
-    }
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekg(static_cast<std::streamoff>(off));
-        char c = 0;
-        f.get(c);
-        f.seekp(static_cast<std::streamoff>(off));
-        f.put(static_cast<char>(c ^ 0x5a));
-    }
-
-    auto sckpt = std::make_shared<checkpoint::StreamingCheckpoint>(path);
-    Network net2 = sckpt->instantiate();
+    checkpoint::Checkpoint ckpt = checkpoint::Checkpoint::open(path);
+    Network net2 = ckpt.instantiate();
     std::unique_ptr<RpsEngine> eng2 =
-        checkpoint::StreamingCheckpoint::restoreEngine(sckpt, net2);
+        ckpt.restoreEngine(net2, /*lazy=*/true);
     ASSERT_NE(eng2, nullptr);
 
     expectBitIdentical(engine.forwardAt(bad_bits, x),
@@ -320,6 +325,95 @@ TEST(EngineCache, CorruptCellHydrationFallsBackToRebuild)
     // hydrated.
     EXPECT_EQ(eng2->columnRebuilds(), 1u);
     EXPECT_EQ(eng2->cellHydrations(), eng2->numQuantLayers() - 1);
+    std::remove(path.c_str());
+}
+
+/** Restoring onto a network the artifact was not saved from: when
+ * the layers match but their weights are wider, the eager restore
+ * throws and the lazy one refuses every cell — the engine rebuilds
+ * them all and serves exactly like a fresh engine. A different weight
+ * layer count, or a cached precision outside the network's bound set,
+ * throws in both modes. */
+TEST(EngineCache, RestoreOntoMismatchedNetwork)
+{
+    Network net = makeResidualNet(51);
+    RpsEngine engine(net);
+    std::string path = tmpPath("mismatch");
+    checkpoint::SaveOptions opts;
+    opts.includeEnginePacks = true;
+    checkpoint::save(path, net, &engine, opts);
+    checkpoint::Checkpoint ckpt = checkpoint::Checkpoint::open(path);
+
+    auto build = [](uint64_t seed, int width, PrecisionSet set) {
+        Rng rng(seed);
+        ModelConfig cfg;
+        cfg.baseWidth = width;
+        cfg.precisions = std::move(set);
+        return preActResNetMini(cfg, rng);
+    };
+    Network wide = build(52, 16, PrecisionSet::rps4to16());
+    EXPECT_THROW(ckpt.restoreEngine(wide), io::CheckpointError);
+    std::unique_ptr<RpsEngine> lazy =
+        ckpt.restoreEngine(wide, /*lazy=*/true);
+    ASSERT_NE(lazy, nullptr);
+    Network wide_ref = build(52, 16, PrecisionSet::rps4to16());
+    RpsEngine fresh(wide_ref);
+    Tensor x = makeInput(13);
+    for (int bits : lazy->set().bits())
+        expectBitIdentical(fresh.forwardAt(bits, x),
+                           lazy->forwardAt(bits, x), bits);
+    EXPECT_EQ(lazy->cellHydrations(), 0u);
+
+    Rng rng(53);
+    ModelConfig tiny_cfg;
+    tiny_cfg.baseWidth = 4;
+    Network tiny = convNetTiny(tiny_cfg, rng);
+    Network narrow = build(54, 8, PrecisionSet::rps4to8());
+    for (bool lazy_mode : {false, true}) {
+        EXPECT_THROW(ckpt.restoreEngine(tiny, lazy_mode),
+                     io::CheckpointError);
+        EXPECT_THROW(ckpt.restoreEngine(narrow, lazy_mode),
+                     io::CheckpointError);
+    }
+    std::remove(path.c_str());
+}
+
+/** A corrupt cell in an artifact saved with packs: the eager load
+ * reads it, so the load fails through its retry budget with an error
+ * that names the CELL; the streaming load rebuilds exactly that cell
+ * from the masters and serves every candidate bit-identically. */
+TEST(SessionCache, CorruptCellFailsEagerLoadStreamingRebuildsIt)
+{
+    Network net = makeResidualNet(55);
+    Tensor x = makeInput(14);
+    RpsEngine engine(net);
+    populate(engine);
+    std::string path = tmpPath("session_corrupt");
+    checkpoint::SaveOptions opts;
+    opts.includeEnginePacks = true;
+    checkpoint::save(path, net, &engine, opts);
+    ASSERT_NE(corruptFirstCell(path), 0);
+
+    SessionConfig eager;
+    eager.loadRetries = 1;
+    std::vector<std::string> errors;
+    eager.onLoadRetry = [&](int, const std::string &error) {
+        errors.push_back(error);
+    };
+    EXPECT_THROW(Session::fromCheckpoint(path, eager),
+                 io::CheckpointError);
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("CELL"), std::string::npos) << errors[0];
+
+    SessionConfig stream;
+    stream.streamArtifact = true;
+    Session s = Session::fromCheckpoint(path, stream);
+    for (int bits : s.candidates().bits()) {
+        s.switchPrecision(bits);
+        expectBitIdentical(engine.forwardAt(bits, x), s.forward(x),
+                           bits);
+    }
+    EXPECT_EQ(s.engine().columnRebuilds(), 1u);
     std::remove(path.c_str());
 }
 
