@@ -46,8 +46,8 @@ corruptBytes(std::vector<uint8_t> &bytes, const FaultSpec &fault,
 }
 
 FaultInjector::FaultInjector(std::vector<FaultSpec> faults,
-                             uint64_t seed)
-    : faults_(std::move(faults)), seed_(seed),
+                             uint64_t seed, EventJournal &journal)
+    : faults_(std::move(faults)), seed_(seed), journal_(journal),
       injected_(std::make_shared<uint64_t>(0))
 {
 }
@@ -65,14 +65,14 @@ FaultInjector::at(int phase, int point) const
     return out;
 }
 
-bool
-FaultInjector::anyInPhase(int phase) const
+const FaultSpec *
+FaultInjector::find(const std::string &type, int phase, int point) const
 {
     for (const FaultSpec &f : faults_) {
-        if (f.phase == phase)
-            return true;
+        if (f.type == type && f.phase == phase && f.at == point)
+            return &f;
     }
-    return false;
+    return nullptr;
 }
 
 void
@@ -83,40 +83,38 @@ FaultInjector::armCorruptRead(const FaultSpec &fault,
     FaultSpec spec = fault;
     uint64_t seed = seed_;
     auto injected = injected_;
-    // fired lives in the closure state: a transient fault corrupts
+    // hit lives in the closure state: a transient fault corrupts
     // only the first read after arming — the retry sees clean bytes.
-    auto fired = std::make_shared<bool>(false);
-    hooks.onRead = [spec, seed, injected, fired,
+    auto hit = std::make_shared<bool>(false);
+    hooks.onRead = [spec, seed, injected, hit,
                     path](const std::string &readPath,
                           std::vector<uint8_t> &bytes) {
         if (readPath != path)
             return;
-        if (*fired && !spec.persistent)
+        if (*hit && !spec.persistent)
             return;
         corruptBytes(bytes, spec, seed);
-        if (!*fired)
+        if (!*hit)
             ++*injected; // one injection per arming, however many reads
-        *fired = true;
+        *hit = true;
     };
     io::setFaultHooks(std::move(hooks));
     armed_ = true;
 }
 
 void
-FaultInjector::armTornWrite(const FaultSpec &fault,
-                            const std::string &path)
+FaultInjector::armTornWrite(const std::string &path)
 {
     io::FaultHooks hooks;
     auto injected = injected_;
-    auto fired = std::make_shared<bool>(false);
-    (void)fault;
+    auto hit = std::make_shared<bool>(false);
     // Atomic saves write "<path>.tmp" then rename — the hook sees the
     // temp path, so match both spellings.
-    hooks.onWrite = [injected, fired, path](const std::string &writePath,
-                                            size_t size) -> size_t {
-        if ((writePath != path && writePath != path + ".tmp") || *fired)
+    hooks.onWrite = [injected, hit, path](const std::string &writePath,
+                                          size_t size) -> size_t {
+        if ((writePath != path && writePath != path + ".tmp") || *hit)
             return size;
-        *fired = true;
+        *hit = true;
         ++*injected;
         return size / 2;
     };
@@ -131,6 +129,23 @@ FaultInjector::disarm()
         io::clearFaultHooks();
         armed_ = false;
     }
+}
+
+void
+FaultInjector::fired(Json detail)
+{
+    ++*injected_;
+    journal_.emit("fault_injected", std::move(detail));
+}
+
+void
+FaultInjector::settle(Json detail, bool recovered,
+                      const char *recoveredAs)
+{
+    if (recovered)
+        ++recovered_;
+    journal_.emit(recovered ? recoveredAs : "fault_unrecovered",
+                  std::move(detail));
 }
 
 } // namespace harness

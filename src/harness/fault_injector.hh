@@ -16,13 +16,16 @@
  * armTornWrite() installs a write hook that cuts the next write of
  * the target path at half its bytes, which together with the atomic
  * temp-file+rename save protocol must leave the previous artifact
- * intact. The runner arms before the save/load it wants to poison and
- * disarms right after — the hooks are process-global, so exactly one
- * site holds them at a time.
+ * intact. The runner arms before the save/load of the cycle the fault
+ * is pinned to and disarms right after — the hooks are process-global,
+ * so exactly one site holds them at a time.
  *
- * Bookkeeping: injected() counts faults that actually fired,
- * recovered() counts the ones the serving stack survived (retry
- * succeeded, degradation path held, rejection was clean). A run with
+ * Every outcome settles here, into the counts and the journal:
+ * fired() counts a fault that fired and journals `fault_injected`
+ * (an armed checkpoint hook counts itself when it fires); settle()
+ * counts a fault the serving stack survived (retry succeeded,
+ * degradation path held, rejection was clean) and journals
+ * `fault_recovered`, or journals `fault_unrecovered`. A run with
  * injected() != recovered() is the harness's "fault unrecovered"
  * outcome — distinct exit code, CI-visible.
  */
@@ -35,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/event_journal.hh"
 #include "harness/scenario.hh"
 
 namespace twoinone {
@@ -43,7 +47,10 @@ namespace harness {
 class FaultInjector
 {
   public:
-    FaultInjector(std::vector<FaultSpec> faults, uint64_t seed);
+    /** @p journal receives the fault events; it must outlive the
+     * injector. */
+    FaultInjector(std::vector<FaultSpec> faults, uint64_t seed,
+                  EventJournal &journal);
 
     /** Clears any armed io hooks. */
     ~FaultInjector();
@@ -54,8 +61,10 @@ class FaultInjector
     /** Faults scheduled at (phase, point), in declaration order. */
     std::vector<const FaultSpec *> at(int phase, int point) const;
 
-    /** Whether any fault in the schedule targets @p phase. */
-    bool anyInPhase(int phase) const;
+    /** The fault of @p type scheduled at (phase, point), or null (a
+     * valid spec has at most one). */
+    const FaultSpec *find(const std::string &type, int phase,
+                          int point) const;
 
     /**
      * Arm a read-corruption hook for @p fault against artifact
@@ -67,28 +76,35 @@ class FaultInjector
     void armCorruptRead(const FaultSpec &fault, const std::string &path);
 
     /**
-     * Arm a torn-write hook for @p fault against artifact @p path:
-     * the next write of that path stops after half its bytes and
-     * surfaces io::CheckpointError to the writer.
+     * Arm a torn-write hook against artifact @p path: the next write
+     * of that path stops after half its bytes and surfaces
+     * io::CheckpointError to the writer.
      */
-    void armTornWrite(const FaultSpec &fault, const std::string &path);
+    void armTornWrite(const std::string &path);
 
     /** Remove any armed io hooks (idempotent). */
     void disarm();
 
+    /** Count a fault that fired outside the io-hook path and journal
+     * @p detail as `fault_injected`. */
+    void fired(Json detail);
+
+    /** Settle a fired fault: when @p recovered, count it and journal
+     * @p detail as @p recoveredAs (a malformed request's clean
+     * rejection is a `request_rejected`); otherwise journal it as
+     * `fault_unrecovered`. */
+    void settle(Json detail, bool recovered,
+                const char *recoveredAs = "fault_recovered");
+
     /** Faults that actually fired. */
     uint64_t injected() const { return *injected_; }
-    /** Count a fault that fired outside the io-hook path (cache
-     * storms, starvation, malformed requests). */
-    void noteInjected() { ++*injected_; }
-
     /** Faults the stack survived. */
     uint64_t recovered() const { return recovered_; }
-    void noteRecovered() { ++recovered_; }
 
   private:
     std::vector<FaultSpec> faults_;
     uint64_t seed_;
+    EventJournal &journal_;
     /** Shared with the armed hook closures: a hook can fire while the
      * runner is mid-load, and the count must land here. */
     std::shared_ptr<uint64_t> injected_;

@@ -50,7 +50,7 @@ Network
 buildModel(const ScenarioSpec &spec, Rng &rng)
 {
     ModelConfig mc;
-    mc.numClasses = spec.data.classes;
+    mc.numClasses = spec.data.numClasses;
     mc.baseWidth = spec.model.baseWidth;
     if (!spec.model.precisions.empty())
         mc.precisions = PrecisionSet(spec.model.precisions);
@@ -74,23 +74,44 @@ buildAttack(const AttackSpec &as, const PrecisionSet &candidates)
     return std::make_unique<PgdAttack>(cfg);
 }
 
-/** Copy rows [start, start+len) of a [N, ...] tensor. */
-Tensor
-sliceRows(const Tensor &src, int start, int len)
+/** Argmax hits of the replies @p ys against @p labels, where request
+ * r holds rows [r * rowsPerRequest, (r + 1) * rowsPerRequest). A shed
+ * request (empty logits, already counted by the Server) scores
+ * nothing. Adds the rows scored to @p total. */
+uint64_t
+scoreReplies(const std::vector<Tensor> &ys,
+             const std::vector<int> &labels, int rowsPerRequest,
+             uint64_t &total)
 {
-    std::vector<int> shape = src.shape();
-    shape[0] = len;
-    Tensor out(shape);
-    size_t rowElems = src.size() / static_cast<size_t>(src.dim(0));
-    std::memcpy(out.data(),
-                src.data() + static_cast<size_t>(start) * rowElems,
-                static_cast<size_t>(len) * rowElems * sizeof(float));
-    return out;
+    uint64_t hits = 0;
+    for (size_t r = 0; r < ys.size(); ++r) {
+        if (ys[r].empty())
+            continue;
+        std::vector<int> pred = ops::argmaxRows(ys[r]);
+        for (size_t i = 0; i < pred.size(); ++i) {
+            size_t row = r * static_cast<size_t>(rowsPerRequest) + i;
+            hits += pred[i] == labels[row] ? 1 : 0;
+        }
+        total += pred.size();
+    }
+    return hits;
 }
 
-} // namespace
-
-namespace {
+/** Lift any budget on @p eng, fill it at every precision of @p set to
+ * measure its fully populated size, then cap it at @p pct percent of
+ * that. Returns the budget in bytes. */
+size_t
+clampCache(RpsEngine &eng, const PrecisionSet &set, int pct)
+{
+    EngineCacheConfig ec = eng.cacheConfig();
+    ec.budgetBytes = 0;
+    eng.setCacheConfig(ec);
+    for (int bits : set.bits())
+        eng.setPrecision(bits);
+    ec.budgetBytes = eng.cacheBytes() * static_cast<size_t>(pct) / 100;
+    eng.setCacheConfig(ec);
+    return ec.budgetBytes;
+}
 
 /** Journaled error strings must not depend on where the bundle lives
  * (same-seed runs into different --out dirs are digest-identical), so
@@ -196,22 +217,17 @@ ScenarioRunner::setUp()
 
     journal_ =
         std::make_unique<EventJournal>(bundle_ + "/events.jsonl");
-    injector_ =
-        std::make_unique<FaultInjector>(spec_.faults, spec_.seed);
+    injector_ = std::make_unique<FaultInjector>(spec_.faults,
+                                                spec_.seed, *journal_);
 
-    SyntheticConfig dc;
-    dc.numClasses = spec_.data.classes;
-    dc.height = spec_.data.size;
-    dc.width = spec_.data.size;
-    dc.trainSize = spec_.data.train;
-    dc.testSize = spec_.data.test;
+    SyntheticConfig dc = spec_.data;
     dc.seed = spec_.seed ^ 0xDA7AULL;
     data_ = makeSynthetic(dc, spec_.name + "-data");
 
     Json d = Json::object();
-    d.set("classes", Json(spec_.data.classes));
-    d.set("train", Json(spec_.data.train));
-    d.set("test", Json(spec_.data.test));
+    d.set("classes", Json(spec_.data.numClasses));
+    d.set("train", Json(spec_.data.trainSize));
+    d.set("test", Json(spec_.data.testSize));
     journal_->emit("dataset", std::move(d));
 }
 
@@ -271,64 +287,40 @@ ScenarioRunner::deploySession()
         }());
     }
 
-    session_.emplace(loadSession());
-    ++ckptLoads_;
+    installSession(loadSession());
     journal_->emit("session_deploy", [&] {
         Json d = Json::object();
         d.set("candidates", Json(session_->candidates().name()));
-        d.set("mode", Json(spec_.serving.mode));
-        d.set("async", Json(spec_.serving.async));
-        if (spec_.session.stream)
+        d.set("mode", Json(spec_.serving.mode == serve::PlanMode::Float
+                               ? "float"
+                               : "quantized"));
+        d.set("async", Json(spec_.async));
+        if (spec_.session.streamArtifact)
             d.set("stream", Json(true));
-        if (spec_.session.cacheBudgetPct > 0)
-            d.set("cache_budget_pct",
-                  Json(spec_.session.cacheBudgetPct));
-        if (spec_.serving.async)
-            d.set("sessions", Json(spec_.serving.sessions));
+        if (spec_.cacheBudgetPct > 0)
+            d.set("cache_budget_pct", Json(spec_.cacheBudgetPct));
+        if (spec_.async)
+            d.set("sessions", Json(spec_.sessions));
         return d;
     }());
-    rebuildServer();
 }
 
 void
-ScenarioRunner::teardownServer()
+ScenarioRunner::installSession(Session next)
 {
-    // The Server and the extra tenants hold references into the live
-    // session's network and engine — they must die first.
+    foldSession();
     server_.reset();
     extraTenants_.clear();
     tenantIds_.clear();
-    tenantTraceMarks_.clear();
-}
+    session_ = std::move(next);
+    ++ckptLoads_;
 
-void
-ScenarioRunner::rebuildServer()
-{
-    teardownServer();
-
-    serve::ServerConfig sc;
+    serve::ServerConfig sc = spec_.server;
     sc.clock = &clock_;
-    // Admission must hold every request one traffic point submits
-    // before its flush.
-    for (const PhaseSpec &ps : spec_.phases)
-        sc.queueCapacity = std::max(
-            sc.queueCapacity,
-            ps.type == "bursty" ? ps.burstRequests : ps.requestsPerBatch);
-    sc.maxBatchDelayUs = static_cast<double>(spec_.serving.maxDelayUs);
-    sc.defaultDeadlineUs =
-        static_cast<uint64_t>(spec_.serving.deadlineUs);
-    sc.policy = spec_.serving.policy == "edf"
-                    ? serve::SchedulingPolicy::EarliestDeadlineFirst
-                    : serve::SchedulingPolicy::RoundRobin;
     server_ = std::make_unique<serve::Server>(sc);
-
-    // One image of the synthetic set fixes the request geometry.
-    std::vector<int> shape;
-    for (int i = 1; i < data_.test.images.ndim(); ++i)
-        shape.push_back(data_.test.images.dim(i));
-
+    const std::vector<int> &shape = session_->config().inputShape;
     tenantIds_.push_back(server_->addTenant(*session_, shape));
-    for (int i = 1; i < spec_.serving.sessions; ++i) {
+    for (int i = 1; i < spec_.sessions; ++i) {
         // Extra tenants share the deployed model and engine but draw
         // their batch precisions from their own seeded streams.
         SessionConfig cfg;
@@ -354,26 +346,30 @@ ScenarioRunner::runTuning()
     tc.measuredProbes = spec_.tuning.probeRequests > 0;
     tc.probeRows = std::max(1, spec_.tuning.probeRequests);
     tune::TuneResult res = tune::autotune(*session_, tc);
-
-    tuned_ = true;
-    tuneCandidates_ = static_cast<uint64_t>(res.candidates.size());
-    tuneEvaluated_ = static_cast<uint64_t>(res.evaluated);
-    tuneMeanErrPct_ = res.meanErrorPct;
-    tunePredictedCost_ =
-        static_cast<double>(res.artifact.predictedCost);
-    tuneSelected_ = res.artifact.genome.describe();
+    std::string selected = res.artifact.genome.describe();
+    double cost = static_cast<double>(res.artifact.predictedCost);
+    uint64_t candidates = static_cast<uint64_t>(res.candidates.size());
+    uint64_t evaluated = static_cast<uint64_t>(res.evaluated);
 
     // Measured probe values never reach the journal: events stay a
     // pure function of the spec + seed on one machine.
     Json d = Json::object();
-    d.set("genome", Json(tuneSelected_));
-    d.set("predicted_cost", Json(tunePredictedCost_));
-    d.set("candidates", Json(tuneCandidates_));
-    d.set("evaluated", Json(tuneEvaluated_));
+    d.set("genome", Json(selected));
+    d.set("predicted_cost", Json(cost));
+    d.set("candidates", Json(candidates));
+    d.set("evaluated", Json(evaluated));
     d.set("cycles", Json(spec_.tuning.cycles));
     d.set("population", Json(spec_.tuning.population));
     d.set("found", Json(res.found));
     journal_->emit("tuning_selected", std::move(d));
+
+    tuning_ = Json::object();
+    tuning_.set("selected", Json(selected));
+    tuning_.set("predicted_cost", Json(cost));
+    tuning_.set("candidates", Json(candidates));
+    tuning_.set("evaluated", Json(evaluated));
+    tuning_.set("mean_error_pct", Json(res.meanErrorPct));
+    tuning_.set("applied", Json(spec_.tuning.apply && res.found));
 
     if (spec_.tuning.apply && res.found) {
         // Embed the winner and take the production path: re-save the
@@ -389,21 +385,15 @@ ScenarioRunner::runTuning()
             sd.set("stage", Json("tuned"));
             return sd;
         }());
-        foldSession();
-        teardownServer();
-        session_ = loadSession();
-        ++ckptLoads_;
-        rebuildServer();
-        tuneApplied_ = true;
+        installSession(loadSession());
         const serve::ServeConfig &applied =
             session_->config().serving;
         Json a = Json::object();
         a.set("max_batch", Json(applied.maxBatch));
         a.set("micro_batch", Json(applied.microBatch));
         a.set("replicas", Json(applied.replicas));
-        a.set("policy",
-              Json(res.artifact.genome.policy == 1 ? "edf"
-                                                   : "round_robin"));
+        a.set("policy", Json(serve::schedulingPolicyName(
+                            server_->config().policy)));
         a.set("max_delay_us", Json(res.artifact.genome.maxDelayUs));
         journal_->emit("tuning_applied", std::move(a));
     }
@@ -415,7 +405,6 @@ ScenarioRunner::tuneOnly()
 {
     setUp();
     deploySession();
-    spec_.tuning.enabled = true; // the subcommand implies tuning
     tune::TuneResult res = runTuning();
     foldSession();
     journal_->close();
@@ -427,26 +416,13 @@ ScenarioRunner::tuneOnly()
 Session
 ScenarioRunner::loadSession()
 {
-    SessionConfig cfg;
-    cfg.serving.maxBatch = spec_.serving.maxBatch;
-    cfg.serving.microBatch = spec_.serving.microBatch;
-    cfg.serving.mode = spec_.serving.mode == "float"
-                           ? serve::PlanMode::Float
-                           : serve::PlanMode::Quantized;
+    SessionConfig cfg = spec_.session;
+    cfg.serving = spec_.serving;
     cfg.serving.seed = spec_.seed;
-    cfg.serving.replicas = spec_.serving.replicas;
-    cfg.serving.lazyPlanWarmup = spec_.serving.lazyWarmup;
-    cfg.serving.drawBits = spec_.serving.drawBits;
-    cfg.serving.drawWeights.assign(spec_.serving.drawWeights.begin(),
-                                   spec_.serving.drawWeights.end());
     // The request image geometry, for the Server and the autotuner's
     // probes/analytical workload.
     for (int i = 1; i < data_.test.images.ndim(); ++i)
         cfg.inputShape.push_back(data_.test.images.dim(i));
-    cfg.loadRetries = spec_.session.loadRetries;
-    cfg.loadRetryBackoffMs = spec_.session.retryBackoffMs;
-    cfg.streamArtifact = spec_.session.stream;
-    cfg.pinnedBits = spec_.session.pinnedBits;
     cfg.onLoadRetry = [this](int attempt, const std::string &error) {
         ++loadRetries_;
         Json d = Json::object();
@@ -455,19 +431,10 @@ ScenarioRunner::loadSession()
         journal_->emit("load_retry", std::move(d));
     };
     Session s = Session::fromCheckpoint(ckptPath_, std::move(cfg));
-    if (spec_.session.cacheBudgetPct > 0) {
-        // The spec budget is a percentage of the fully populated
-        // cache: fill it once to measure, then clamp — serving runs
-        // under LRU eviction from the first batch.
-        RpsEngine &eng = s.engine();
-        for (int bits : s.candidates().bits())
-            eng.setPrecision(bits);
-        EngineCacheConfig ec = eng.cacheConfig();
-        ec.budgetBytes =
-            eng.cacheBytes() *
-            static_cast<size_t>(spec_.session.cacheBudgetPct) / 100;
-        eng.setCacheConfig(std::move(ec));
-    }
+    // The spec budget is a percentage of the fully populated cache:
+    // serving runs under LRU eviction from the first batch.
+    if (spec_.cacheBudgetPct > 0)
+        clampCache(s.engine(), s.candidates(), spec_.cacheBudgetPct);
     return s;
 }
 
@@ -507,23 +474,6 @@ ScenarioRunner::foldSession()
     }
 }
 
-Json
-ScenarioRunner::traceDelta()
-{
-    // Per-tenant deltas since the last journal mark, flattened in
-    // tenant order (the dispatcher is quiesced by flush() at every
-    // journal point).
-    Json arr = Json::array();
-    for (size_t t = 0; t < tenantIds_.size(); ++t) {
-        const std::vector<int> &tr =
-            server_->precisionTrace(tenantIds_[t]);
-        for (size_t i = tenantTraceMarks_[t]; i < tr.size(); ++i)
-            arr.push(Json(tr[i]));
-        tenantTraceMarks_[t] = tr.size();
-    }
-    return arr;
-}
-
 void
 ScenarioRunner::runPhase(int index)
 {
@@ -532,32 +482,19 @@ ScenarioRunner::runPhase(int index)
         Json d = Json::object();
         d.set("phase", Json(index));
         d.set("kind", Json(ps.type));
-        d.set("points", Json(ps.points()));
+        d.set("points", Json(ps.points));
         journal_->emit("phase_start", std::move(d));
     }
 
-    if (ps.type == "steady") {
-        for (int b = 0; b < ps.batches; ++b) {
-            applyFaults(index, b);
-            steadyPoint(index, b, ps.requestsPerBatch,
-                        ps.rowsPerRequest);
-        }
-    } else if (ps.type == "bursty") {
-        for (int burst = 0; burst < ps.bursts; ++burst) {
-            applyFaults(index, burst);
-            steadyPoint(index, burst, ps.burstRequests,
-                        ps.rowsPerRequest);
-        }
-    } else if (ps.type == "adversarial") {
-        for (int b = 0; b < ps.batches; ++b) {
-            applyFaults(index, b);
-            adversarialPoint(index, b, ps);
-        }
-    } else { // soak
-        for (int cycle = 0; cycle < ps.cycles; ++cycle) {
-            applyFaults(index, cycle);
-            soakCycle(index, cycle, ps);
-        }
+    for (int p = 0; p < ps.points; ++p) {
+        bool starved = applyFaults(index, p);
+        if (ps.type == "adversarial")
+            adversarialPoint(index, p, ps, starved);
+        else if (ps.type == "soak")
+            soakCycle(index, p, ps, starved);
+        else
+            steadyPoint(index, p, ps.requestsPerPoint, ps.rowsPerRequest,
+                        starved);
     }
 
     Json d = Json::object();
@@ -598,57 +535,65 @@ ScenarioRunner::serveRequests(std::vector<Tensor> xs, bool starved)
 }
 
 void
-ScenarioRunner::steadyPoint(int phase, int point, int nRequests,
-                            int rowsPerRequest)
+ScenarioRunner::journalPoint(const char *event, int phase, int point,
+                             const Json &fields, bool starved)
 {
-    std::vector<Tensor> xs;
-    std::vector<std::vector<int>> labels;
-    xs.reserve(static_cast<size_t>(nRequests));
-    for (int r = 0; r < nRequests; ++r) {
-        Dataset b = takeBatch(rowsPerRequest);
-        xs.push_back(b.images);
-        labels.push_back(b.labels);
-    }
-    bool starved = starveNextPoint_;
-    starveNextPoint_ = false;
-    std::vector<Tensor> ys = serveRequests(std::move(xs), starved);
-    for (size_t r = 0; r < ys.size(); ++r) {
-        if (ys[r].empty())
-            continue; // shed
-        std::vector<int> pred = ops::argmaxRows(ys[r]);
-        for (size_t i = 0; i < pred.size(); ++i) {
-            ++natTotal_;
-            if (pred[i] == labels[r][i])
-                ++natCorrect_;
-        }
-    }
-
     Json d = Json::object();
     d.set("phase", Json(phase));
     d.set("point", Json(point));
-    d.set("requests", Json(nRequests));
-    d.set("rows", Json(nRequests * rowsPerRequest));
-    d.set("precisions", traceDelta());
-    journal_->emit("point", std::move(d));
+    for (const auto &kv : fields.members())
+        d.set(kv.first, kv.second);
+    // Per-tenant trace deltas since the last point, flattened in
+    // tenant order (flush() has quiesced the dispatcher).
+    Json drawn = Json::array();
+    for (size_t t = 0; t < tenantIds_.size(); ++t) {
+        const std::vector<int> &tr =
+            server_->precisionTrace(tenantIds_[t]);
+        for (size_t i = tenantTraceMarks_[t]; i < tr.size(); ++i)
+            drawn.push(Json(tr[i]));
+        tenantTraceMarks_[t] = tr.size();
+    }
+    d.set("precisions", std::move(drawn));
+    journal_->emit(event, std::move(d));
 
     if (starved) {
         // The point was served inline on the starved pool — the
         // server degraded to serial execution without shedding work.
-        injector_->noteRecovered();
         Json r = Json::object();
         r.set("kind", Json("starve_pool"));
         r.set("phase", Json(phase));
         r.set("point", Json(point));
         r.set("via", Json("serial_drain"));
-        journal_->emit("fault_recovered", std::move(r));
+        injector_->settle(std::move(r), true);
     }
 }
 
 void
-ScenarioRunner::adversarialPoint(int phase, int point,
-                                 const PhaseSpec &ps)
+ScenarioRunner::steadyPoint(int phase, int point, int nRequests,
+                            int rowsPerRequest, bool starved)
 {
-    int rows = ps.requestsPerBatch * ps.rowsPerRequest;
+    std::vector<Tensor> xs;
+    std::vector<int> labels;
+    xs.reserve(static_cast<size_t>(nRequests));
+    for (int r = 0; r < nRequests; ++r) {
+        Dataset b = takeBatch(rowsPerRequest);
+        xs.push_back(std::move(b.images));
+        labels.insert(labels.end(), b.labels.begin(), b.labels.end());
+    }
+    natCorrect_ += scoreReplies(serveRequests(std::move(xs), starved),
+                                labels, rowsPerRequest, natTotal_);
+
+    Json d = Json::object();
+    d.set("requests", Json(nRequests));
+    d.set("rows", Json(nRequests * rowsPerRequest));
+    journalPoint("point", phase, point, d, starved);
+}
+
+void
+ScenarioRunner::adversarialPoint(int phase, int point,
+                                 const PhaseSpec &ps, bool starved)
+{
+    int rows = ps.requestsPerPoint * ps.rowsPerRequest;
     Dataset clean = takeBatch(rows);
 
     // The adversary samples its own generation precision from the
@@ -663,55 +608,41 @@ ScenarioRunner::adversarialPoint(int phase, int point,
                                  clean.labels, attackRng_);
 
     std::vector<Tensor> xs;
-    xs.reserve(static_cast<size_t>(ps.requestsPerBatch));
-    for (int r = 0; r < ps.requestsPerBatch; ++r)
-        xs.push_back(sliceRows(adv, r * ps.rowsPerRequest,
-                               ps.rowsPerRequest));
-    std::vector<Tensor> ys =
-        serveRequests(std::move(xs), /*starved=*/false);
-    uint64_t correct = 0;
-    for (int r = 0; r < ps.requestsPerBatch; ++r) {
-        const Tensor &logits = ys[static_cast<size_t>(r)];
-        if (logits.empty())
-            continue; // shed
-        std::vector<int> pred = ops::argmaxRows(logits);
-        for (size_t i = 0; i < pred.size(); ++i) {
-            ++robTotal_;
-            size_t idx =
-                static_cast<size_t>(r * ps.rowsPerRequest) + i;
-            if (pred[i] == clean.labels[idx]) {
-                ++robCorrect_;
-                ++correct;
-            }
-        }
-    }
+    xs.reserve(static_cast<size_t>(ps.requestsPerPoint));
+    for (int r = 0; r < ps.requestsPerPoint; ++r)
+        xs.push_back(
+            adv.slice0(r * ps.rowsPerRequest, ps.rowsPerRequest));
+    uint64_t correct =
+        scoreReplies(serveRequests(std::move(xs), starved),
+                     clean.labels, ps.rowsPerRequest, robTotal_);
+    robCorrect_ += correct;
 
     Json d = Json::object();
-    d.set("phase", Json(phase));
-    d.set("point", Json(point));
     d.set("attack", Json(ps.attack.kind));
     d.set("attack_bits", Json(attackBits));
     d.set("rows", Json(rows));
     d.set("correct", Json(correct));
-    d.set("precisions", traceDelta());
-    journal_->emit("attack_point", std::move(d));
+    journalPoint("attack_point", phase, point, d, starved);
 }
 
 void
-ScenarioRunner::soakCycle(int phase, int cycle, const PhaseSpec &ps)
+ScenarioRunner::soakCycle(int phase, int cycle, const PhaseSpec &ps,
+                          bool starved)
 {
     for (int b = 0; b < ps.batchesPerCycle; ++b)
         steadyPoint(phase, cycle * ps.batchesPerCycle + b,
-                    ps.requestsPerBatch, ps.rowsPerRequest);
+                    ps.requestsPerPoint, ps.rowsPerRequest,
+                    starved && b == 0);
     if ((cycle + 1) % ps.checkpointEvery == 0) {
         saveCheckpoint(phase, cycle);
         reloadSession(phase, cycle);
     }
 }
 
-void
+bool
 ScenarioRunner::applyFaults(int phase, int point)
 {
+    bool starved = false;
     for (const FaultSpec *f : injector_->at(phase, point)) {
         Json d = Json::object();
         d.set("kind", Json(f->type));
@@ -725,82 +656,61 @@ ScenarioRunner::applyFaults(int phase, int point)
                 session_->engine().refresh();
             }
             ++cacheStorms_;
-            injector_->noteInjected();
             d.set("storms", Json(f->storms));
             d.set("rebuilds",
                   Json(session_->engine().columnRebuilds() - before));
-            journal_->emit("fault_injected", std::move(d));
+            injector_->fired(std::move(d));
             // The engine rebuilt its full cache each storm; serving
             // continues from the refreshed cells.
-            injector_->noteRecovered();
             Json r = Json::object();
             r.set("kind", Json("cache_storm"));
             r.set("via", Json("cache_rebuild"));
-            journal_->emit("fault_recovered", std::move(r));
+            injector_->settle(std::move(r), true);
         } else if (f->type == "memory_pressure") {
-            // Lift any active budget, fill the cache to measure its
-            // true full size, clamp it to the fault's budget, then
-            // drive full candidate sweeps through the budgeted cache
-            // — an eviction storm. The budget stays in force
-            // afterwards, so the remaining traffic keeps serving
-            // under memory pressure.
+            // Clamp the cache to the fault's share of its true full
+            // size, then drive full candidate sweeps through it — an
+            // eviction storm. The budget stays in force afterwards,
+            // so the remaining traffic keeps serving under memory
+            // pressure.
             RpsEngine &eng = session_->engine();
-            EngineCacheConfig ec = eng.cacheConfig();
-            ec.budgetBytes = 0;
-            eng.setCacheConfig(ec);
-            for (int bits : session_->candidates().bits())
-                eng.setPrecision(bits);
-            ec.budgetBytes =
-                eng.cacheBytes() *
-                static_cast<size_t>(f->budgetPct) / 100;
-            eng.setCacheConfig(ec);
+            size_t budget =
+                clampCache(eng, session_->candidates(), f->budgetPct);
             for (int s = 0; s < f->storms; ++s) {
                 for (int bits : session_->candidates().bits())
                     eng.setPrecision(bits);
             }
             ++memPressure_;
-            injector_->noteInjected();
             d.set("budget_pct", Json(f->budgetPct));
             d.set("storms", Json(f->storms));
-            journal_->emit("fault_injected", std::move(d));
+            injector_->fired(std::move(d));
             // Recovered = the LRU held the byte invariant through
             // the storm; serving continues inside the budget. (Cell
             // byte sizes are ISA-tier-dependent, so eviction counts
             // never reach the journal — only the invariant does.)
-            bool within = eng.cacheBytes() <= ec.budgetBytes;
+            bool within = eng.cacheBytes() <= budget;
             Json r = Json::object();
             r.set("kind", Json("memory_pressure"));
             r.set("via", Json("lru_eviction"));
             r.set("within_budget", Json(within));
-            if (within) {
-                injector_->noteRecovered();
-                journal_->emit("fault_recovered", std::move(r));
-            } else {
-                journal_->emit("fault_unrecovered", std::move(r));
-            }
+            injector_->settle(std::move(r), within);
         } else if (f->type == "starve_pool") {
-            starveNextPoint_ = true;
-            injector_->noteInjected();
-            journal_->emit("fault_injected", std::move(d));
-            // Recovery is journaled by the starved point itself.
+            // The starved point settles the fault once it is served.
+            starved = true;
+            injector_->fired(std::move(d));
         } else if (f->type == "malformed_request") {
-            journal_->emit("fault_injected", std::move(d));
+            injector_->fired(std::move(d));
             injectMalformedRequest(*f, phase, point);
-        } else if (f->type == "torn_save") {
-            pendingTorn_ = f;
-            journal_->emit("fault_armed", std::move(d));
-        } else { // corrupt_checkpoint
-            pendingCorrupt_ = f;
+        } else { // torn_save / corrupt_checkpoint
             journal_->emit("fault_armed", std::move(d));
         }
     }
+    return starved;
 }
 
 void
 ScenarioRunner::injectMalformedRequest(const FaultSpec &f, int phase,
                                        int point)
 {
-    injector_->noteInjected();
     Tensor bad;
     if (f.kind == "oversized") {
         Dataset b = takeBatch(1);
@@ -815,34 +725,29 @@ ScenarioRunner::injectMalformedRequest(const FaultSpec &f, int phase,
     } else { // wrong_rank
         bad = Tensor({2, 3}, 0.5f);
     }
+    Json d = Json::object();
+    d.set("kind", Json("malformed_request"));
+    d.set("request", Json(f.kind));
     try {
         server_->submit(tenantIds_[0], std::move(bad));
         // A malformed request that the server accepted is a real
         // robustness hole: leave the fault unrecovered.
-        Json d = Json::object();
-        d.set("kind", Json("malformed_request"));
-        d.set("request", Json(f.kind));
         d.set("accepted", Json(true));
-        journal_->emit("fault_unrecovered", std::move(d));
+        injector_->settle(std::move(d), false);
     } catch (const serve::ServeError &e) {
-        injector_->noteRecovered();
-        Json d = Json::object();
-        d.set("kind", Json("malformed_request"));
-        d.set("request", Json(f.kind));
         d.set("phase", Json(phase));
         d.set("point", Json(point));
         d.set("error", Json(scrubBundlePath(e.what(), bundle_)));
-        journal_->emit("request_rejected", std::move(d));
+        injector_->settle(std::move(d), true, "request_rejected");
     }
 }
 
 void
-ScenarioRunner::saveCheckpoint(int phase, int point)
+ScenarioRunner::saveCheckpoint(int phase, int cycle)
 {
-    const FaultSpec *torn = pendingTorn_;
-    pendingTorn_ = nullptr;
-    if (torn != nullptr)
-        injector_->armTornWrite(*torn, ckptPath_);
+    bool torn = injector_->find("torn_save", phase, cycle) != nullptr;
+    if (torn)
+        injector_->armTornWrite(ckptPath_);
     try {
         session_->save(ckptPath_);
         injector_->disarm();
@@ -850,15 +755,15 @@ ScenarioRunner::saveCheckpoint(int phase, int point)
         Json d = Json::object();
         d.set("artifact", Json("model.ckpt"));
         d.set("phase", Json(phase));
-        d.set("point", Json(point));
+        d.set("point", Json(cycle));
         journal_->emit("checkpoint_save", std::move(d));
     } catch (const io::CheckpointError &e) {
         injector_->disarm();
-        if (torn == nullptr)
+        if (!torn)
             throw; // not ours — a genuine save failure
         Json d = Json::object();
         d.set("phase", Json(phase));
-        d.set("point", Json(point));
+        d.set("point", Json(cycle));
         d.set("error", Json(scrubBundlePath(e.what(), bundle_)));
         journal_->emit("save_failed", std::move(d));
         // The save protocol is temp-file + rename: a torn write must
@@ -872,49 +777,35 @@ ScenarioRunner::saveCheckpoint(int phase, int point)
         Json r = Json::object();
         r.set("kind", Json("torn_save"));
         r.set("target_intact", Json(intact));
-        if (intact) {
-            injector_->noteRecovered();
-            journal_->emit("fault_recovered", std::move(r));
-        } else {
-            journal_->emit("fault_unrecovered", std::move(r));
-        }
+        injector_->settle(std::move(r), intact);
     }
 }
 
 void
-ScenarioRunner::reloadSession(int phase, int point)
+ScenarioRunner::reloadSession(int phase, int cycle)
 {
-    const FaultSpec *corrupt = pendingCorrupt_;
-    pendingCorrupt_ = nullptr;
+    const FaultSpec *corrupt =
+        injector_->find("corrupt_checkpoint", phase, cycle);
     if (corrupt != nullptr)
         injector_->armCorruptRead(*corrupt, ckptPath_);
     uint64_t retriesBefore = loadRetries_;
     try {
         Session next = loadSession();
         injector_->disarm();
-        foldSession();
-        // The server (and its tenant sessions) reference the outgoing
-        // session's network and engine — tear down before the
-        // replacement, rebuild over the new session after.
-        teardownServer();
-        session_ = std::move(next);
-        rebuildServer();
-        ++ckptLoads_;
+        installSession(std::move(next));
         Json d = Json::object();
         d.set("phase", Json(phase));
-        d.set("point", Json(point));
-        if (spec_.session.stream)
+        d.set("point", Json(cycle));
+        if (spec_.session.streamArtifact)
             d.set("stream", Json(true));
         journal_->emit("checkpoint_load", std::move(d));
         if (corrupt != nullptr) {
             // The corrupted read was survived via the retry budget.
-            injector_->noteRecovered();
             Json r = Json::object();
             r.set("kind", Json("corrupt_checkpoint"));
             r.set("via", Json("load_retry"));
-            r.set("retries",
-                  Json(loadRetries_ - retriesBefore));
-            journal_->emit("fault_recovered", std::move(r));
+            r.set("retries", Json(loadRetries_ - retriesBefore));
+            injector_->settle(std::move(r), true);
         }
     } catch (const io::CheckpointError &e) {
         injector_->disarm();
@@ -923,16 +814,15 @@ ScenarioRunner::reloadSession(int phase, int point)
         // Persistent corruption exhausted the retries: degrade by
         // keeping the previously deployed session serving.
         ++degraded_;
-        injector_->noteRecovered();
         Json d = Json::object();
         d.set("phase", Json(phase));
-        d.set("point", Json(point));
+        d.set("point", Json(cycle));
         d.set("error", Json(scrubBundlePath(e.what(), bundle_)));
         journal_->emit("load_failed", std::move(d));
         Json r = Json::object();
         r.set("kind", Json("corrupt_checkpoint"));
         r.set("via", Json("degraded_to_previous_session"));
-        journal_->emit("fault_recovered", std::move(r));
+        injector_->settle(std::move(r), true);
     }
 }
 
@@ -958,7 +848,7 @@ ScenarioRunner::buildMetrics()
     counts.set("column_rebuilds", Json(accRebuilds_));
     // Conditional: scenarios predating the streaming/budget features
     // keep their baseline key sets byte-for-byte.
-    if (spec_.session.stream || spec_.session.cacheBudgetPct > 0 ||
+    if (spec_.session.streamArtifact || spec_.cacheBudgetPct > 0 ||
         memPressure_ > 0) {
         counts.set("cache_evictions", Json(accEvictions_));
         counts.set("cell_hydrations", Json(accHydrations_));
@@ -1011,20 +901,11 @@ ScenarioRunner::buildMetrics()
     m.set("digests", std::move(digests));
     m.set("accuracy", std::move(accuracy));
     m.set("timing", std::move(timing));
-    if (tuned_) {
-        // Candidate counts and the winner ride on float cost ordering
-        // (machine-dependent under -march=native): the section lives
-        // outside "counts" so baselines can ignore it wholesale while
-        // still exact-comparing the traffic counts.
-        Json t = Json::object();
-        t.set("selected", Json(tuneSelected_));
-        t.set("predicted_cost", Json(tunePredictedCost_));
-        t.set("candidates", Json(tuneCandidates_));
-        t.set("evaluated", Json(tuneEvaluated_));
-        t.set("mean_error_pct", Json(tuneMeanErrPct_));
-        t.set("applied", Json(tuneApplied_));
-        m.set("tuning", std::move(t));
-    }
+    // The tuning section lives outside "counts" so baselines can
+    // ignore it wholesale while still exact-comparing the traffic
+    // counts.
+    if (!tuning_.isNull())
+        m.set("tuning", tuning_);
     return m;
 }
 

@@ -6,9 +6,13 @@
  * A run stands up the declared model (build → optional RPS
  * adversarial training → calibration), persists it, deploys it
  * through Session::fromCheckpoint (the same artifact-load path
- * production takes, retry budget included), serves it as a tenant of
- * a serve::Server, then drives the declared traffic phases against it
- * while the FaultInjector fires the scheduled faults. Everything observable lands in the
+ * production takes, retry budget included) and serves it as a tenant
+ * of a serve::Server. Each traffic phase is then one loop over its
+ * points: the FaultInjector fires the faults pinned to the point, and
+ * the point runs — a steady (or bursty) batch of requests, an
+ * attacked batch, or a soak cycle that saves and reloads the
+ * artifact. Every fault settles through the injector, which counts it
+ * and journals its outcome. Everything observable lands in the
  * bundle directory:
  *
  *   <out>/<scenario-name>/
@@ -86,16 +90,28 @@ class ScenarioRunner
     void deploySession();
     Session loadSession();
 
+    /** Replace the live session with @p next: fold the outgoing
+     * session's counters, tear down the Server and its extra tenants
+     * (they reference the outgoing network and engine), install
+     * @p next, count the load, and build a Server over it — tenant 0
+     * is the session, tenants 1..n-1 attach to its network sharing
+     * its engine. */
+    void installSession(Session next);
+
     /** Run tune::autotune on the deployed session per the spec's
      * tuning block, journal the selection, and (with apply) re-save +
      * reload so traffic serves under the winner. */
     tune::TuneResult runTuning();
 
+    /** One loop over the phase's points: fire the point's faults,
+     * then run it as a steady, adversarial or soak point. */
     void runPhase(int index);
     void steadyPoint(int phase, int point, int nRequests,
-                     int rowsPerRequest);
-    void adversarialPoint(int phase, int point, const PhaseSpec &ps);
-    void soakCycle(int phase, int cycle, const PhaseSpec &ps);
+                     int rowsPerRequest, bool starved);
+    void adversarialPoint(int phase, int point, const PhaseSpec &ps,
+                          bool starved);
+    void soakCycle(int phase, int cycle, const PhaseSpec &ps,
+                   bool starved);
 
     /** Serve @p xs in order through the Server (round-robin over the
      * tenant sessions, then flush) and return each request's logits
@@ -104,23 +120,20 @@ class ScenarioRunner
     std::vector<Tensor> serveRequests(std::vector<Tensor> xs,
                                       bool starved);
 
-    /** (Re)build the Server over the live session: tenant 0 is the
-     * deployed session, tenants 1..n-1 attach to its network sharing
-     * its engine. Called at deploy and after a reload replaces the
-     * session. */
-    void rebuildServer();
+    /** Journal a served point as @p event: phase, point, @p fields,
+     * then the precisions drawn since the last point. A starve_pool
+     * fault the point served under settles right after. */
+    void journalPoint(const char *event, int phase, int point,
+                      const Json &fields, bool starved);
 
-    /** Tear down the Server and its tenant sessions (before the
-     * session they reference is replaced). */
-    void teardownServer();
-
-    /** Fire the faults scheduled at (phase, point). Checkpoint faults
-     * arm and fire later, at the cycle's save/load. */
-    void applyFaults(int phase, int point);
+    /** Fire the faults scheduled at (phase, point); returns whether a
+     * starve_pool starves the point. Checkpoint faults are journaled
+     * as armed here and fire at the cycle's save and reload. */
+    bool applyFaults(int phase, int point);
     void injectMalformedRequest(const FaultSpec &f, int phase,
                                 int point);
-    void saveCheckpoint(int phase, int point);
-    void reloadSession(int phase, int point);
+    void saveCheckpoint(int phase, int cycle);
+    void reloadSession(int phase, int cycle);
 
     /** Next @p rows consecutive test rows (wraps, never straddles). */
     Dataset takeBatch(int rows);
@@ -128,8 +141,6 @@ class ScenarioRunner
      * counters into the accumulators (before replacing the session
      * or finishing). */
     void foldSession();
-    /** Precisions sampled since the last journal mark. */
-    Json traceDelta();
 
     Json buildMetrics();
 
@@ -139,6 +150,7 @@ class ScenarioRunner
     std::string ckptPath_;
 
     std::unique_ptr<EventJournal> journal_;
+    /** Declared after the journal it emits into. */
     std::unique_ptr<FaultInjector> injector_;
     std::optional<Session> session_;
     DatasetPair data_;
@@ -161,11 +173,6 @@ class ScenarioRunner
 
     int cursor_ = 0; ///< test-set traffic cursor
 
-    // Pending checkpoint faults (armed at the next save / load).
-    const FaultSpec *pendingTorn_ = nullptr;
-    const FaultSpec *pendingCorrupt_ = nullptr;
-    bool starveNextPoint_ = false;
-
     // Accumulators across session replacements.
     uint64_t accRequests_ = 0, accRows_ = 0, accBatches_ = 0;
     uint64_t accRejected_ = 0, accShed_ = 0, accRebuilds_ = 0;
@@ -184,16 +191,11 @@ class ScenarioRunner
     uint64_t memPressure_ = 0;
     uint64_t accEvictions_ = 0, accHydrations_ = 0;
     /** @} */
-    /** @name Autotuner outcome (metrics "tuning" section)
+    /** The metrics "tuning" section (null without a tuning run).
      * Candidate/evaluation counts and the winner depend on float cost
      * ordering, so baselines treat the section like timing: present,
      * never exact-compared across machines. */
-    /** @{ */
-    bool tuned_ = false, tuneApplied_ = false;
-    uint64_t tuneCandidates_ = 0, tuneEvaluated_ = 0;
-    double tuneMeanErrPct_ = 0.0, tunePredictedCost_ = 0.0;
-    std::string tuneSelected_;
-    /** @} */
+    Json tuning_;
     uint64_t natCorrect_ = 0, natTotal_ = 0;
     uint64_t robCorrect_ = 0, robTotal_ = 0;
 };

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "io/serialize.hh"
+#include "quant/precision.hh"
 
 namespace twoinone {
 namespace harness {
@@ -53,26 +55,69 @@ rejectUnknownKeys(const Json &obj, const std::string &path,
     }
 }
 
+/** @p v as an integer in [lo, hi]. The range is checked on the double,
+ * before the cast that would be undefined outside int's range. */
+int
+toInt(const Json &v, const std::string &path, int lo, int hi)
+{
+    if (!v.isNumber())
+        throw SpecError(path, "expected an integer");
+    double d = v.asNumber();
+    if (d != std::trunc(d))
+        throw SpecError(path, "expected an integer, got " +
+                                  formatJsonNumber(d));
+    if (d < lo || d > hi)
+        throw SpecError(path, formatJsonNumber(d) +
+                                  " is out of range [" +
+                                  std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "]");
+    return static_cast<int>(d);
+}
+
 int
 getInt(const Json &obj, const char *key, const std::string &path,
        int def, int lo, int hi)
 {
     const Json *v = obj.find(key);
+    return v == nullptr ? def : toInt(*v, path + "." + key, lo, hi);
+}
+
+/** A strictly increasing list of bit-widths (empty when absent). */
+std::vector<int>
+getBits(const Json &obj, const char *key, const std::string &path)
+{
+    std::vector<int> bits;
+    const Json *v = obj.find(key);
     if (v == nullptr)
-        return def;
+        return bits;
     std::string p = path + "." + key;
-    if (!v->isNumber())
-        throw SpecError(p, "expected an integer");
-    double d = v->asNumber();
-    if (d != static_cast<double>(static_cast<long long>(d)))
-        throw SpecError(p, "expected an integer, got " +
-                               formatJsonNumber(d));
-    int n = static_cast<int>(d);
-    if (n < lo || n > hi)
-        throw SpecError(p, std::to_string(n) + " is out of range [" +
-                               std::to_string(lo) + ", " +
-                               std::to_string(hi) + "]");
-    return n;
+    if (!v->isArray() || v->items().empty())
+        throw SpecError(p, "expected a non-empty array of bit-widths");
+    for (size_t i = 0; i < v->items().size(); ++i) {
+        std::string ep = p + "[" + std::to_string(i) + "]";
+        int b = toInt(v->items()[i], ep, 1, 16);
+        if (!bits.empty() && b <= bits.back())
+            throw SpecError(ep, "bit-widths must be strictly increasing");
+        bits.push_back(b);
+    }
+    return bits;
+}
+
+/** Every entry of @p bits must be a candidate of @p model: the serving
+ * stack asserts it, so a spec asking otherwise is a SpecError. */
+void
+requireCandidates(const std::vector<int> &bits, const ModelSpec &model,
+                  const std::string &path)
+{
+    PrecisionSet set = model.precisions.empty()
+                           ? PrecisionSet::rps4to16()
+                           : PrecisionSet(model.precisions);
+    for (size_t i = 0; i < bits.size(); ++i) {
+        if (!set.contains(bits[i]))
+            throw SpecError(path + "[" + std::to_string(i) + "]",
+                            std::to_string(bits[i]) +
+                                " is not in the model's candidate set");
+    }
 }
 
 double
@@ -149,46 +194,25 @@ parseModel(const Json &j, const std::string &path)
                             {"natural", "fgsm", "pgd7", "free"});
     m.calibrateBatches =
         getInt(obj, "calibrate_batches", path, 0, 0, 64);
-    if (const Json *p = obj.find("precisions")) {
-        std::string pp = path + ".precisions";
-        if (!p->isArray() || p->items().empty())
-            throw SpecError(pp, "expected a non-empty array of "
-                                "bit-widths");
-        int prev = 0;
-        for (size_t i = 0; i < p->items().size(); ++i) {
-            const Json &e = p->items()[i];
-            std::string ep = pp + "[" + std::to_string(i) + "]";
-            if (!e.isNumber())
-                throw SpecError(ep, "expected an integer bit-width");
-            int b = static_cast<int>(e.asNumber());
-            if (b < 1 || b > 16)
-                throw SpecError(ep, std::to_string(b) +
-                                        " is out of range [1, 16]");
-            if (b <= prev)
-                throw SpecError(ep, "bit-widths must be strictly "
-                                    "increasing");
-            prev = b;
-            m.precisions.push_back(b);
-        }
-    }
+    m.precisions = getBits(obj, "precisions", path);
     return m;
 }
 
-DataSpec
+SyntheticConfig
 parseData(const Json &j, const std::string &path)
 {
     const Json &obj = expectObject(j, path);
     rejectUnknownKeys(obj, path, {"classes", "size", "train", "test"});
-    DataSpec d;
-    d.classes = getInt(obj, "classes", path, 10, 2, 1000);
-    d.size = getInt(obj, "size", path, 8, 4, 64);
-    d.train = getInt(obj, "train", path, 128, 0, 100000);
-    d.test = getInt(obj, "test", path, 64, 16, 100000);
+    SyntheticConfig d;
+    d.numClasses = getInt(obj, "classes", path, 10, 2, 1000);
+    d.height = d.width = getInt(obj, "size", path, 8, 4, 64);
+    d.trainSize = getInt(obj, "train", path, 128, 0, 100000);
+    d.testSize = getInt(obj, "test", path, 64, 16, 100000);
     return d;
 }
 
-ServingSpec
-parseServing(const Json &j, const std::string &path)
+void
+parseServing(const Json &j, const std::string &path, ScenarioSpec &s)
 {
     const Json &obj = expectObject(j, path);
     rejectUnknownKeys(obj, path,
@@ -196,67 +220,53 @@ parseServing(const Json &j, const std::string &path)
                        "lazy_warmup", "async", "sessions",
                        "max_delay_us", "deadline_us", "policy",
                        "draw_bits", "draw_weights"});
-    ServingSpec s;
-    s.maxBatch = getInt(obj, "max_batch", path, 32, 1, 4096);
-    s.microBatch = getInt(obj, "micro_batch", path, 8, 1, 4096);
-    if (s.microBatch > s.maxBatch)
+    serve::ServeConfig &c = s.serving;
+    c.maxBatch = getInt(obj, "max_batch", path, 32, 1, 4096);
+    c.microBatch = getInt(obj, "micro_batch", path, 8, 1, 4096);
+    if (c.microBatch > c.maxBatch)
         throw SpecError(path + ".micro_batch",
-                        std::to_string(s.microBatch) +
+                        std::to_string(c.microBatch) +
                             " exceeds max_batch " +
-                            std::to_string(s.maxBatch));
-    s.mode = getEnum(obj, "mode", path, "quantized",
-                     {"quantized", "float"});
-    s.replicas = getInt(obj, "replicas", path, 0, 0, 256);
-    s.lazyWarmup = getBool(obj, "lazy_warmup", path, true);
+                            std::to_string(c.maxBatch));
+    c.mode = getEnum(obj, "mode", path, "quantized",
+                     {"quantized", "float"}) == "float"
+                 ? serve::PlanMode::Float
+                 : serve::PlanMode::Quantized;
+    c.replicas = getInt(obj, "replicas", path, 0, 0, 256);
+    c.lazyPlanWarmup = getBool(obj, "lazy_warmup", path, true);
     s.async = getBool(obj, "async", path, false);
     s.sessions = getInt(obj, "sessions", path, 1, 1, 64);
-    s.maxDelayUs = getInt(obj, "max_delay_us", path, 0, 0, 10000000);
-    s.deadlineUs = getInt(obj, "deadline_us", path, 0, 0, 10000000);
-    s.policy = getEnum(obj, "policy", path, "round_robin",
-                       {"round_robin", "edf"});
-    if (const Json *db = obj.find("draw_bits")) {
-        std::string dp = path + ".draw_bits";
-        if (!db->isArray() || db->items().empty())
-            throw SpecError(dp, "expected a non-empty array of "
-                                "bit-widths");
-        int prev = 0;
-        for (size_t i = 0; i < db->items().size(); ++i) {
-            const Json &e = db->items()[i];
-            std::string ep = dp + "[" + std::to_string(i) + "]";
-            if (!e.isNumber())
-                throw SpecError(ep, "expected an integer bit-width");
-            int b = static_cast<int>(e.asNumber());
-            if (b < 1 || b > 16)
-                throw SpecError(ep, std::to_string(b) +
-                                        " is out of range [1, 16]");
-            if (b <= prev)
-                throw SpecError(ep, "bit-widths must be strictly "
-                                    "increasing");
-            prev = b;
-            s.drawBits.push_back(b);
-        }
-    }
+    serve::ServerConfig &sc = s.server;
+    sc.maxBatchDelayUs =
+        getInt(obj, "max_delay_us", path, 0, 0, 10000000);
+    sc.defaultDeadlineUs = static_cast<uint64_t>(
+        getInt(obj, "deadline_us", path, 0, 0, 10000000));
+    sc.policy = getEnum(obj, "policy", path, "round_robin",
+                        {"round_robin", "edf"}) == "edf"
+                    ? serve::SchedulingPolicy::EarliestDeadlineFirst
+                    : serve::SchedulingPolicy::RoundRobin;
+    c.drawBits = getBits(obj, "draw_bits", path);
     if (const Json *dw = obj.find("draw_weights")) {
         std::string wp = path + ".draw_weights";
-        if (s.drawBits.empty())
+        if (c.drawBits.empty())
             throw SpecError(wp, "draw_weights requires draw_bits");
         if (!dw->isArray() ||
-            dw->items().size() != s.drawBits.size())
+            dw->items().size() != c.drawBits.size())
             throw SpecError(wp, "expected one weight per draw_bits "
                                 "entry (" +
-                                    std::to_string(s.drawBits.size()) +
+                                    std::to_string(c.drawBits.size()) +
                                     ")");
         for (size_t i = 0; i < dw->items().size(); ++i) {
             const Json &e = dw->items()[i];
             std::string ep = wp + "[" + std::to_string(i) + "]";
             if (!e.isNumber() || e.asNumber() <= 0.0)
                 throw SpecError(ep, "expected a positive weight");
-            s.drawWeights.push_back(e.asNumber());
+            c.drawWeights.push_back(static_cast<float>(e.asNumber()));
         }
-    } else if (!s.drawBits.empty()) {
-        s.drawWeights.assign(s.drawBits.size(), 1.0);
+    } else if (!c.drawBits.empty()) {
+        c.drawWeights.assign(c.drawBits.size(), 1.0f);
     }
-    if (!s.async && s.policy != "round_robin")
+    if (!s.async && sc.policy != serve::SchedulingPolicy::RoundRobin)
         throw SpecError(path + ".policy",
                         "scheduling policy only applies to async "
                         "serving");
@@ -264,11 +274,10 @@ parseServing(const Json &j, const std::string &path)
         throw SpecError(path + ".sessions",
                         "multi-session serving requires "
                         "\"async\": true");
-    if (!s.async && (s.maxDelayUs > 0 || s.deadlineUs > 0))
+    if (!s.async && (sc.maxBatchDelayUs > 0 || sc.defaultDeadlineUs > 0))
         throw SpecError(path + ".async",
                         "max_delay_us / deadline_us only apply to "
                         "async serving");
-    return s;
 }
 
 TuningSpec
@@ -289,43 +298,21 @@ parseTuning(const Json &j, const std::string &path)
     return t;
 }
 
-SessionSpec
-parseSession(const Json &j, const std::string &path)
+void
+parseSession(const Json &j, const std::string &path, ScenarioSpec &s)
 {
     const Json &obj = expectObject(j, path);
     rejectUnknownKeys(obj, path,
                       {"load_retries", "retry_backoff_ms", "stream",
                        "cache_budget_pct", "pinned_bits"});
-    SessionSpec s;
-    s.loadRetries = getInt(obj, "load_retries", path, 1, 0, 16);
-    s.retryBackoffMs =
+    SessionConfig &c = s.session;
+    c.loadRetries = getInt(obj, "load_retries", path, 1, 0, 16);
+    c.loadRetryBackoffMs =
         getInt(obj, "retry_backoff_ms", path, 0, 0, 10000);
-    s.stream = getBool(obj, "stream", path, false);
+    c.streamArtifact = getBool(obj, "stream", path, false);
     s.cacheBudgetPct =
         getInt(obj, "cache_budget_pct", path, 0, 0, 100);
-    if (const Json *pb = obj.find("pinned_bits")) {
-        std::string pp = path + ".pinned_bits";
-        if (!pb->isArray() || pb->items().empty())
-            throw SpecError(pp, "expected a non-empty array of "
-                                "bit-widths");
-        int prev = 0;
-        for (size_t i = 0; i < pb->items().size(); ++i) {
-            const Json &e = pb->items()[i];
-            std::string ep = pp + "[" + std::to_string(i) + "]";
-            if (!e.isNumber())
-                throw SpecError(ep, "expected an integer bit-width");
-            int b = static_cast<int>(e.asNumber());
-            if (b < 1 || b > 16)
-                throw SpecError(ep, std::to_string(b) +
-                                        " is out of range [1, 16]");
-            if (b <= prev)
-                throw SpecError(ep, "bit-widths must be strictly "
-                                    "increasing");
-            prev = b;
-            s.pinnedBits.push_back(b);
-        }
-    }
-    return s;
+    c.pinnedBits = getBits(obj, "pinned_bits", path);
 }
 
 AttackSpec
@@ -342,7 +329,8 @@ parseAttack(const Json &j, const std::string &path)
 }
 
 PhaseSpec
-parsePhase(const Json &j, const std::string &path, int max_batch)
+parsePhase(const Json &j, const std::string &path, int max_batch,
+           int test_rows)
 {
     const Json &obj = expectObject(j, path);
     PhaseSpec p;
@@ -352,8 +340,8 @@ parsePhase(const Json &j, const std::string &path, int max_batch)
         rejectUnknownKeys(obj, path,
                           {"type", "batches", "requests_per_batch",
                            "rows_per_request"});
-        p.batches = getInt(obj, "batches", path, 4, 1, 100000);
-        p.requestsPerBatch =
+        p.points = getInt(obj, "batches", path, 4, 1, 100000);
+        p.requestsPerPoint =
             getInt(obj, "requests_per_batch", path, 4, 1, 1024);
         p.rowsPerRequest =
             getInt(obj, "rows_per_request", path, 4, 1, max_batch);
@@ -361,8 +349,8 @@ parsePhase(const Json &j, const std::string &path, int max_batch)
         rejectUnknownKeys(obj, path,
                           {"type", "bursts", "burst_requests",
                            "rows_per_request"});
-        p.bursts = getInt(obj, "bursts", path, 2, 1, 100000);
-        p.burstRequests =
+        p.points = getInt(obj, "bursts", path, 2, 1, 100000);
+        p.requestsPerPoint =
             getInt(obj, "burst_requests", path, 8, 1, 4096);
         p.rowsPerRequest =
             getInt(obj, "rows_per_request", path, 4, 1, max_batch);
@@ -370,7 +358,7 @@ parsePhase(const Json &j, const std::string &path, int max_batch)
         rejectUnknownKeys(obj, path,
                           {"type", "batches", "rows_per_request",
                            "attack"});
-        p.batches = getInt(obj, "batches", path, 4, 1, 100000);
+        p.points = getInt(obj, "batches", path, 4, 1, 100000);
         p.rowsPerRequest =
             getInt(obj, "rows_per_request", path, 8, 1, max_batch);
         if (const Json *a = obj.find("attack"))
@@ -380,22 +368,36 @@ parsePhase(const Json &j, const std::string &path, int max_batch)
                           {"type", "cycles", "batches_per_cycle",
                            "requests_per_batch", "rows_per_request",
                            "checkpoint_every"});
-        p.cycles = getInt(obj, "cycles", path, 2, 1, 100000);
+        p.points = getInt(obj, "cycles", path, 2, 1, 100000);
         p.batchesPerCycle =
             getInt(obj, "batches_per_cycle", path, 2, 1, 100000);
-        p.requestsPerBatch =
+        p.requestsPerPoint =
             getInt(obj, "requests_per_batch", path, 4, 1, 1024);
         p.rowsPerRequest =
             getInt(obj, "rows_per_request", path, 4, 1, max_batch);
         p.checkpointEvery =
             getInt(obj, "checkpoint_every", path, 1, 1, 100000);
     }
+    // Every request is a contiguous run of test rows; an adversarial
+    // point attacks all of its requests' rows as one batch.
+    bool adversarial = p.type == "adversarial";
+    int rows = adversarial ? p.requestsPerPoint * p.rowsPerRequest
+                           : p.rowsPerRequest;
+    if (rows > test_rows)
+        throw SpecError(path + ".rows_per_request",
+                        std::to_string(rows) + " rows per " +
+                            (adversarial ? "attacked point"
+                                         : "request") +
+                            " exceed the " +
+                            std::to_string(test_rows) +
+                            "-row test set ($.data.test)");
     return p;
 }
 
 FaultSpec
 parseFault(const Json &j, const std::string &path,
-           const std::vector<PhaseSpec> &phases)
+           const std::vector<PhaseSpec> &phases,
+           const std::vector<FaultSpec> &earlier)
 {
     const Json &obj = expectObject(j, path);
     FaultSpec f;
@@ -406,7 +408,7 @@ parseFault(const Json &j, const std::string &path,
     int nphases = static_cast<int>(phases.size());
     f.phase = getInt(obj, "phase", path, 0, 0, nphases - 1);
     const PhaseSpec &ph = phases[static_cast<size_t>(f.phase)];
-    f.at = getInt(obj, "at", path, 0, 0, ph.points() - 1);
+    f.at = getInt(obj, "at", path, 0, 0, ph.points - 1);
 
     if (f.type == "corrupt_checkpoint") {
         rejectUnknownKeys(obj, path,
@@ -435,13 +437,30 @@ parseFault(const Json &j, const std::string &path,
                          {"oversized", "wrong_shape", "wrong_rank"});
     }
 
-    // Checkpoint faults need a phase that saves/loads checkpoints.
-    if ((f.type == "corrupt_checkpoint" || f.type == "torn_save") &&
-        ph.type != "soak")
-        throw SpecError(path + ".phase",
-                        f.type + " requires a soak phase, phase " +
-                            std::to_string(f.phase) + " is \"" +
-                            ph.type + "\"");
+    // Checkpoint faults fire at their cycle's save and reload.
+    if (f.type == "corrupt_checkpoint" || f.type == "torn_save") {
+        if (ph.type != "soak")
+            throw SpecError(path + ".phase",
+                            f.type + " requires a soak phase, phase " +
+                                std::to_string(f.phase) + " is \"" +
+                                ph.type + "\"");
+        if ((f.at + 1) % ph.checkpointEvery != 0)
+            throw SpecError(path + ".at",
+                            "cycle " + std::to_string(f.at) +
+                                " does not save: phase " +
+                                std::to_string(f.phase) +
+                                " saves when (cycle + 1) % " +
+                                std::to_string(ph.checkpointEvery) +
+                                " == 0");
+    }
+    for (size_t i = 0; i < earlier.size(); ++i) {
+        const FaultSpec &e = earlier[i];
+        if (e.type == f.type && e.phase == f.phase && e.at == f.at)
+            throw SpecError(path + ".at",
+                            "$.faults[" + std::to_string(i) +
+                                "] is already a " + f.type +
+                                " at this point");
+    }
     return f;
 }
 
@@ -492,16 +511,6 @@ parseCompare(const Json &j, const std::string &path)
 
 } // namespace
 
-int
-PhaseSpec::points() const
-{
-    if (type == "bursty")
-        return bursts;
-    if (type == "soak")
-        return cycles;
-    return batches;
-}
-
 ScenarioSpec
 parseScenario(const Json &doc)
 {
@@ -530,56 +539,22 @@ parseScenario(const Json &doc)
     s.seed = static_cast<uint64_t>(
         getInt(obj, "seed", "$", 2021, 0, 1 << 30));
 
-    if (const Json *m = obj.find("model"))
-        s.model = parseModel(*m, "$.model");
-    if (const Json *d = obj.find("data"))
-        s.data = parseData(*d, "$.data");
-    if (const Json *v = obj.find("serving"))
-        s.serving = parseServing(*v, "$.serving");
-    if (const Json *v = obj.find("session"))
-        s.session = parseSession(*v, "$.session");
+    // An absent block parses as an empty one: the library configs it
+    // binds into default differently from the spec.
+    const Json none = Json::object();
+    auto block = [&](const char *key) -> const Json & {
+        const Json *v = obj.find(key);
+        return v != nullptr ? *v : none;
+    };
+    s.model = parseModel(block("model"), "$.model");
+    s.data = parseData(block("data"), "$.data");
+    parseServing(block("serving"), "$.serving", s);
+    parseSession(block("session"), "$.session", s);
     if (const Json *v = obj.find("tuning"))
         s.tuning = parseTuning(*v, "$.tuning");
-
-    // The draw distribution must be a subset of the model's candidate
-    // set (the serving runtime asserts this; a spec violation must be
-    // a SpecError). {4,5,6,8,12,16} is PrecisionSet::rps4to16, the
-    // default when $.model.precisions is absent.
-    if (!s.serving.drawBits.empty()) {
-        std::vector<int> bound = s.model.precisions.empty()
-                                     ? std::vector<int>{4, 5, 6, 8,
-                                                        12, 16}
-                                     : s.model.precisions;
-        for (size_t i = 0; i < s.serving.drawBits.size(); ++i) {
-            int b = s.serving.drawBits[i];
-            if (std::find(bound.begin(), bound.end(), b) ==
-                bound.end())
-                throw SpecError(
-                    "$.serving.draw_bits[" + std::to_string(i) + "]",
-                    std::to_string(b) +
-                        " is not in the model's candidate set");
-        }
-    }
-
-    // Pinned cache precisions face the same bound: the Session maps
-    // an out-of-set pin to a runtime ServeError, a spec asking for
-    // one must be a SpecError.
-    if (!s.session.pinnedBits.empty()) {
-        std::vector<int> bound = s.model.precisions.empty()
-                                     ? std::vector<int>{4, 5, 6, 8,
-                                                        12, 16}
-                                     : s.model.precisions;
-        for (size_t i = 0; i < s.session.pinnedBits.size(); ++i) {
-            int b = s.session.pinnedBits[i];
-            if (std::find(bound.begin(), bound.end(), b) ==
-                bound.end())
-                throw SpecError(
-                    "$.session.pinned_bits[" + std::to_string(i) +
-                        "]",
-                    std::to_string(b) +
-                        " is not in the model's candidate set");
-        }
-    }
+    requireCandidates(s.serving.drawBits, s.model, "$.serving.draw_bits");
+    requireCandidates(s.session.pinnedBits, s.model,
+                      "$.session.pinned_bits");
 
     const Json *phases = obj.find("phases");
     if (phases == nullptr)
@@ -587,11 +562,14 @@ parseScenario(const Json &doc)
     if (!phases->isArray() || phases->items().empty())
         throw SpecError("$.phases",
                         "expected a non-empty array of phases");
-    for (size_t i = 0; i < phases->items().size(); ++i)
+    for (size_t i = 0; i < phases->items().size(); ++i) {
         s.phases.push_back(
             parsePhase(phases->items()[i],
                        "$.phases[" + std::to_string(i) + "]",
-                       s.serving.maxBatch));
+                       s.serving.maxBatch, s.data.testSize));
+        s.server.queueCapacity = std::max(
+            s.server.queueCapacity, s.phases.back().requestsPerPoint);
+    }
 
     if (const Json *faults = obj.find("faults")) {
         if (!faults->isArray())
@@ -600,11 +578,10 @@ parseScenario(const Json &doc)
             s.faults.push_back(
                 parseFault(faults->items()[i],
                            "$.faults[" + std::to_string(i) + "]",
-                           s.phases));
+                           s.phases, s.faults));
     }
 
-    if (const Json *c = obj.find("compare"))
-        s.compare = parseCompare(*c, "$.compare");
+    s.compare = parseCompare(block("compare"), "$.compare");
 
     return s;
 }

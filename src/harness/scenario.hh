@@ -22,7 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "data/synthetic.hh"
 #include "harness/json.hh"
+#include "serve/server.hh"
+#include "serve/session.hh"
 
 namespace twoinone {
 namespace harness {
@@ -44,7 +47,7 @@ class SpecError : public std::runtime_error
     std::string path_;
 };
 
-/** Model + dataset stood up for the run. */
+/** The model stood up for the run. */
 struct ModelSpec
 {
     std::string arch = "convnet_tiny"; ///< convnet_tiny | preact_mini
@@ -54,43 +57,6 @@ struct ModelSpec
     int trainEpochs = 0;          ///< quick PGD-free natural epochs
     std::string trainMethod = "natural"; ///< natural|fgsm|pgd7|free
     int calibrateBatches = 0;     ///< static-scale calibration batches
-};
-
-struct DataSpec
-{
-    int classes = 10;
-    int size = 8; ///< square image side
-    int train = 128;
-    int test = 64;
-};
-
-struct ServingSpec
-{
-    int maxBatch = 32;
-    int microBatch = 8;
-    std::string mode = "quantized"; ///< quantized | float
-    int replicas = 0;
-    bool lazyWarmup = true;
-    /** Admit the multi-tenant and timing keys below (sessions,
-     * max_delay_us, deadline_us, policy). Every scenario serves
-     * through serve::Server either way; the flag is echoed in the
-     * session_deploy event. */
-    bool async = false;
-    /** Tenant sessions multiplexed over the model (async only;
-     * tenants share the engine, round-robin traffic). */
-    int sessions = 1;
-    /** Async batch-age close (ManualClock microseconds; 0 = close
-     * partial batches only on flush). */
-    int maxDelayUs = 0;
-    /** Per-request deadline (ManualClock microseconds; 0 = none). */
-    int deadlineUs = 0;
-    /** Async batch-picking policy across tenants. */
-    std::string policy = "round_robin"; ///< round_robin | edf
-    /** Precision draw distribution for served batches (empty =
-     * uniform over the model's candidate set, bit-identical to specs
-     * predating the keys). */
-    std::vector<int> drawBits;
-    std::vector<double> drawWeights;
 };
 
 /** Serving-autotuner block: when present, the runner tunes the
@@ -110,23 +76,6 @@ struct TuningSpec
     bool apply = false;
 };
 
-struct SessionSpec
-{
-    int loadRetries = 1;
-    int retryBackoffMs = 0;
-    /** Load the artifact's engine cells lazily, per (layer,
-     * precision) on first install (SessionConfig::streamArtifact),
-     * instead of all at load. */
-    bool stream = false;
-    /** Engine-cache byte budget as a percentage of the fully
-     * populated cache (0 = unlimited). Applied after deployment, so
-     * serving runs under LRU eviction from the first batch. */
-    int cacheBudgetPct = 0;
-    /** Precisions whose cells are exempt from eviction. Must be
-     * members of the model's candidate set. */
-    std::vector<int> pinnedBits;
-};
-
 /** One attack block inside an adversarial phase. */
 struct AttackSpec
 {
@@ -136,37 +85,37 @@ struct AttackSpec
     double alpha255 = 2.0;
 };
 
-/** One traffic phase. Which fields apply depends on type. */
+/** One traffic phase: a loop over points. A steady point serves
+ * requestsPerPoint requests; a bursty phase is a steady one sized by
+ * its burst keys; an adversarial point attacks requestsPerPoint
+ * requests' rows as one batch, then serves them; a soak point is a
+ * cycle of batchesPerCycle steady batches, saving and reloading the
+ * artifact every checkpointEvery cycles. */
 struct PhaseSpec
 {
     std::string type; ///< steady | bursty | adversarial | soak
-    // steady / adversarial / soak
-    int batches = 4;
-    int requestsPerBatch = 4;
+    /** Batches, bursts or cycles — the coordinate faults pin to. */
+    int points = 4;
+    int requestsPerPoint = 4;
     int rowsPerRequest = 4;
-    // bursty
-    int bursts = 2;
-    int burstRequests = 8;
     // adversarial
     AttackSpec attack;
     // soak
-    int cycles = 2;
     int batchesPerCycle = 2;
     int checkpointEvery = 1;
-
-    /** Points the phase iterates over (batches, bursts or cycles) —
-     * the coordinate faults pin to. */
-    int points() const;
 };
 
-/** One deterministic fault injection, pinned to (phase, at). */
+/** One deterministic fault injection, pinned to (phase, at). At most
+ * one fault of each type per coordinate. */
 struct FaultSpec
 {
     std::string type; ///< corrupt_checkpoint | torn_save |
                       ///< cache_storm | starve_pool |
                       ///< malformed_request | memory_pressure
     int phase = 0;    ///< index into ScenarioSpec::phases
-    int at = 0;       ///< point within the phase (batch/burst/cycle)
+    /** Point within the phase (batch/burst/cycle). A checkpoint fault
+     * fires at its cycle's save and reload, so its cycle must save. */
+    int at = 0;
     // corrupt_checkpoint
     std::string mode = "bitflip"; ///< bitflip | truncate
     int flips = 3;
@@ -196,15 +145,32 @@ struct CompareSpec
     std::vector<std::string> ignore;
 };
 
-/** A fully validated scenario. */
+/** A fully validated scenario. The data, serving, server and session
+ * blocks bind into the library's own configs; the runner adds only
+ * the seeds, the clock, the request shape and the load-retry hook. */
 struct ScenarioSpec
 {
     std::string name;
     uint64_t seed = 2021;
     ModelSpec model;
-    DataSpec data;
-    ServingSpec serving;
-    SessionSpec session;
+    SyntheticConfig data;       ///< $.data
+    serve::ServeConfig serving; ///< $.serving: the session's batches
+    /** $.serving's timing and policy keys; queueCapacity holds every
+     * request of the largest point, which is submitted before its
+     * flush. */
+    serve::ServerConfig server;
+    SessionConfig session;      ///< $.session: the artifact load
+    /** @name The harness's own keys
+     * async admits the multi-tenant and timing keys (every scenario
+     * serves through serve::Server either way; the flag is echoed in
+     * the session_deploy event); sessions is the tenant count sharing
+     * the model; cacheBudgetPct caps the engine cache at that
+     * percentage of its fully populated size (0 = unlimited). */
+    /** @{ */
+    bool async = false;
+    int sessions = 1;
+    int cacheBudgetPct = 0;
+    /** @} */
     TuningSpec tuning;
     std::vector<PhaseSpec> phases;
     std::vector<FaultSpec> faults;

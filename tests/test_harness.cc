@@ -155,13 +155,53 @@ TEST(ScenarioSpec, UnknownKeyNamesThePathAndAllowedKeys)
     expectSpecError(doc, "$.model.archh", "allowed: arch");
 }
 
-TEST(ScenarioSpec, OutOfRangeNamesTheBounds)
+/** minimalSpec() with @p block set to the object parsed from @p text. */
+Json
+specWith(const char *block, const char *text)
 {
     Json doc = minimalSpec();
-    Json data = Json::object();
-    data.set("classes", Json(1));
-    doc.set("data", data);
-    expectSpecError(doc, "$.data.classes", "out of range [2, 1000]");
+    doc.set(block, Json::parse(text));
+    return doc;
+}
+
+TEST(ScenarioSpec, OutOfRangeNamesTheBounds)
+{
+    expectSpecError(specWith("data", R"({"classes": 1})"),
+                    "$.data.classes", "out of range [2, 1000]");
+    // The range is checked before any cast, at any magnitude.
+    expectSpecError(specWith("data", R"({"classes": 1e20})"),
+                    "$.data.classes", "1e+20 is out of range [2, 1000]");
+
+    // Bit-width lists take integers only, through the same reader.
+    expectSpecError(specWith("model", R"({"precisions": [4.5, 8]})"),
+                    "$.model.precisions[0]",
+                    "expected an integer, got 4.5");
+    expectSpecError(specWith("model", R"({"precisions": [1e20]})"),
+                    "$.model.precisions[0]",
+                    "1e+20 is out of range [1, 16]");
+    expectSpecError(specWith("serving", R"({"draw_bits": [4.5, 8]})"),
+                    "$.serving.draw_bits[0]",
+                    "expected an integer, got 4.5");
+    expectSpecError(specWith("session", R"({"pinned_bits": [1e20]})"),
+                    "$.session.pinned_bits[0]",
+                    "1e+20 is out of range [1, 16]");
+    expectSpecError(specWith("session", R"({"pinned_bits": [7]})"),
+                    "$.session.pinned_bits[0]",
+                    "not in the model's candidate set");
+
+    // Each request is a run of test rows: 32 of a 16-row set.
+    Json doc = specWith("data", R"({"test": 16})");
+    doc.set("phases", Json::parse(R"([{"type": "steady", "batches": 1,
+                                       "rows_per_request": 32}])"));
+    expectSpecError(doc, "$.phases[0].rows_per_request",
+                    "32 rows per request exceed the 16-row test set");
+
+    // An adversarial point attacks its 4 requests' rows as one batch.
+    Json adv = minimalSpec();
+    adv.set("phases", Json::parse(R"([{"type": "adversarial",
+                                       "rows_per_request": 32}])"));
+    expectSpecError(adv, "$.phases[0].rows_per_request",
+                    "128 rows per attacked point exceed the 64-row");
 }
 
 TEST(ScenarioSpec, MissingRequiredFieldsAreNamed)
@@ -195,6 +235,29 @@ TEST(ScenarioSpec, FaultCoordinatesValidatedAgainstPhases)
     faults2.push(f2);
     doc2.set("faults", faults2);
     expectSpecError(doc2, "$.faults[0].phase", "requires a soak phase");
+
+    // A checkpoint fault fires at its cycle's save and reload: cycle 0
+    // of a phase that saves every second cycle never saves.
+    Json doc3 = minimalSpec();
+    doc3.set("phases", Json::parse(R"([{"type": "soak", "cycles": 2,
+                                        "checkpoint_every": 2}])"));
+    for (const char *type : {"torn_save", "corrupt_checkpoint"}) {
+        Json f3 = Json::object();
+        f3.set("type", Json(type));
+        Json faults3 = Json::array();
+        faults3.push(f3);
+        doc3.set("faults", faults3);
+        expectSpecError(doc3, "$.faults[0].at", "cycle 0 does not save");
+    }
+
+    // One fault of a type per coordinate.
+    Json doc4 = minimalSpec();
+    doc4.set("faults", Json::parse(R"([
+        {"type": "starve_pool", "phase": 0, "at": 0},
+        {"type": "cache_storm", "phase": 0, "at": 0},
+        {"type": "starve_pool", "phase": 0, "at": 0}])"));
+    expectSpecError(doc4, "$.faults[2].at",
+                    "$.faults[0] is already a starve_pool");
 }
 
 TEST(ScenarioSpec, BadEnumListsTheAlternatives)
@@ -425,6 +488,65 @@ TEST(ScenarioRunner, AsyncRunRecoversEveryFaultAndMatchesSyncRun)
     EXPECT_EQ(
         async.metrics.find("digests")->find("precision_trace")->dump(),
         sync.metrics.find("digests")->find("precision_trace")->dump());
+}
+
+/** A starve_pool pinned to an adversarial point starves that point's
+ * served requests and settles there, not at a later steady point. */
+TEST(ScenarioRunner, StarvedAdversarialPointRecoversAtItsOwnPoint)
+{
+    std::string out = tmpDir("adv_starve");
+    RunResult r = ScenarioRunner(parseScenario(Json::parse(R"({
+      "name": "advstarve", "seed": 9,
+      "model": {"arch": "convnet_tiny", "base_width": 4},
+      "data": {"classes": 3, "size": 8, "train": 32, "test": 32},
+      "serving": {"max_batch": 8, "micro_batch": 4},
+      "phases": [{"type": "adversarial", "batches": 2,
+                  "rows_per_request": 2,
+                  "attack": {"kind": "fgsm", "steps": 1}}],
+      "faults": [{"type": "starve_pool", "phase": 0, "at": 1}]
+    })")),
+                                 out)
+                      .run();
+    EXPECT_TRUE(r.faultsRecovered);
+    EXPECT_EQ(countMetric(r.metrics, "faults_injected"), 1u);
+    EXPECT_EQ(countMetric(r.metrics, "faults_recovered"), 1u);
+    std::string events = readAll(out + "/advstarve/events.jsonl");
+    size_t at = events.find("\"type\":\"fault_recovered\"");
+    ASSERT_NE(at, std::string::npos);
+    std::string line = events.substr(at, events.find('\n', at) - at);
+    EXPECT_NE(line.find("\"kind\":\"starve_pool\",\"phase\":0,"
+                        "\"point\":1"),
+              std::string::npos)
+        << line;
+}
+
+/** A tuning block with apply re-saves the winner, reloads the session
+ * under it and journals the applied knobs, byte-identically on a
+ * rerun. */
+TEST(ScenarioRunner, AppliedTuningJournalsAndRerunsByteIdentically)
+{
+    const char *text = R"({
+      "name": "tuneapply", "seed": 12,
+      "model": {"arch": "convnet_tiny", "base_width": 4,
+                "precisions": [4, 8], "calibrate_batches": 1},
+      "data": {"classes": 3, "size": 8, "train": 32, "test": 32},
+      "serving": {"max_batch": 8, "micro_batch": 4},
+      "tuning": {"cycles": 1, "population": 4, "probe_requests": 0,
+                 "apply": true},
+      "phases": [{"type": "steady", "batches": 2,
+                  "requests_per_batch": 2, "rows_per_request": 2}]
+    })";
+    std::string out1 = tmpDir("tune_a"), out2 = tmpDir("tune_b");
+    RunResult r1 =
+        ScenarioRunner(parseScenario(Json::parse(text)), out1).run();
+    RunResult r2 =
+        ScenarioRunner(parseScenario(Json::parse(text)), out2).run();
+    ASSERT_NE(r1.metrics.find("tuning"), nullptr);
+    EXPECT_TRUE(r1.metrics.find("tuning")->find("applied")->asBool());
+    std::string events = readAll(out1 + "/tuneapply/events.jsonl");
+    EXPECT_NE(events.find("\"type\":\"tuning_applied\""),
+              std::string::npos);
+    EXPECT_EQ(events, readAll(out2 + "/tuneapply/events.jsonl"));
 }
 
 /** One traffic point of more requests than the Server's default
